@@ -18,10 +18,15 @@ sets stay within the norm of their ordinals: extent <= norm at every
 record.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .lowerset import GeneralLowerSet, UNBOUNDED, format_gls, parse_gls
+from .lowerset import (
+    GeneralLowerSet,
+    UNBOUNDED,
+    format_gls,
+    inclusion_masks,
+    parse_gls,
+)
 from .monomial import (
     MonomialIdeal,
     format_ideal,
@@ -387,43 +392,32 @@ class BadnessReport:
         return self.first_violation is None
 
 
-_POOL_SETS = None
-
-
-def _check_pair_block(args):
-    lo, hi = args
-    sets = _POOL_SETS
-    pairs = 0
-    for i in range(lo, hi):
-        for j in range(i + 1, len(sets)):
-            pairs += 1
-            if sets[j].includes(sets[i]):
-                return pairs, (i + 1, j + 1)
-    return pairs, None
-
-
-def verify_bad(run: DescentRun, threads: int = 1) -> BadnessReport:
+def verify_bad(run: DescentRun) -> BadnessReport:
     """Check every pair i<j for the forbidden inclusion D_i <= D_j.
 
-    Indices in the report are 1-based record indices.  ``threads``
-    forks worker processes over blocks of rows; the default is serial.
+    Each pair is one big-int test on probe masks (see
+    ``inclusion_masks``): one probe bit per distinct box of the run, at
+    the box's saturated corner, with unbounded coordinates set to a
+    global B, 1 plus the largest finite extent in the run.  A corner
+    lies in a box exactly when its own box fits inside, and that holds
+    for any B at least as large as every finite extent of the two sets,
+    so one global B is exact for every pair at once.  Then D_i <= D_j
+    iff every probe of D_i lies in D_j, i.e. mask_i & ~mask_j == 0.
+
+    Pairs are scanned row by row and the scan stops at the first
+    inclusion, so ``pairs_checked`` counts the pairs up to and
+    including it.  Indices in the report are 1-based record indices.
     """
-    global _POOL_SETS
-    sets = [r.lower_set for r in run.records]
-    n = len(sets)
-    _POOL_SETS = sets
-    try:
-        if threads > 1 and n > 8:
-            blocks = [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_check_pair_block, blocks))
-        else:
-            results = [_check_pair_block((0, n))]
-    finally:
-        _POOL_SETS = None
-    pairs = sum(p for p, _ in results)
-    hits = [v for _, v in results if v is not None]
-    return BadnessReport(n, pairs, min(hits) if hits else None)
+    masks = inclusion_masks(r.lower_set for r in run.records)
+    missing = [~m for m in masks]
+    n = len(masks)
+    pairs = 0
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, n):
+            if not mi & missing[j]:
+                return BadnessReport(n, pairs + j - i, (i + 1, j + 1))
+        pairs += n - 1 - i
+    return BadnessReport(n, pairs, None)
 
 
 def audit_run(run: DescentRun) -> list:
@@ -551,9 +545,14 @@ def read_run(path: str) -> DescentRun:
                 )
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-    for key in ("dim", "base", "start"):
+    for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
+    declared = headers["records"]
+    if not declared.isdigit() or int(declared) != len(records):
+        raise ValueError(
+            f"header says {declared} records but the file holds {len(records)}"
+        )
     return DescentRun(
         dim=int(headers["dim"]),
         base=int(headers["base"]),

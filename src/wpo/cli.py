@@ -5,7 +5,6 @@ found, 2 usage or parse error.
 """
 
 import argparse
-import os
 import re
 import sys
 
@@ -76,10 +75,9 @@ def cmd_badseq(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = int(os.environ.get("WPO_THREADS", "1"))
     run = bs.read_run(args.path)
     problems = bs.audit_run(run)
-    report = bs.verify_bad(run, threads)
+    report = bs.verify_bad(run)
     print(f"records: {report.count}")
     print(f"audit problems: {len(problems)}")
     for p in problems[:20]:

@@ -162,6 +162,53 @@ class GeneralLowerSet:
         return format_gls(self)
 
 
+def inclusion_masks(sets) -> list:
+    """One int per set, with sets[i] <= sets[j] iff
+    ``masks[i] & ~masks[j] == 0``.
+
+    Each distinct box of ``sets`` gives one probe bit at its saturated
+    corner: e-1 for a finite extent e, and for an unbounded one a global
+    B, 1 plus the largest finite extent of all the sets.  Bit k of a
+    set's mask says whether probe k lies in the set: the OR over the
+    set's boxes of the AND over the axes of the prefix masks "corner
+    coordinate t below extent t".  See ``badseq.verify_bad`` for why
+    this decides inclusion exactly.
+    """
+    sets = list(sets)
+    if not sets:
+        return []
+    for s in sets:
+        _check_dim(sets[0], s)
+    boxes = sorted({r for s in sets for r in s.rects})
+    bound = 1 + max(s._maxfin for s in sets)
+    full = (1 << len(boxes)) - 1
+    prefix = []
+    for t in range(sets[0].dim):
+        corners = sorted((bound if r[t] == UNBOUNDED else r[t] - 1, k)
+                         for k, r in enumerate(boxes))
+        below = {UNBOUNDED: full}
+        acc = pos = 0
+        for v in sorted({r[t] for r in boxes} - {UNBOUNDED}):
+            while pos < len(corners) and corners[pos][0] < v:
+                acc |= 1 << corners[pos][1]
+                pos += 1
+            below[v] = acc
+        prefix.append(below)
+    box_mask = {}
+    for r in boxes:
+        m = full
+        for below, e in zip(prefix, r):
+            m &= below[e]
+        box_mask[r] = m
+    out = []
+    for s in sets:
+        m = 0
+        for r in s.rects:
+            m |= box_mask[r]
+        out.append(m)
+    return out
+
+
 def canonicalize(dim: int, rects) -> GeneralLowerSet:
     return GeneralLowerSet.make(dim, rects)
 

@@ -352,10 +352,17 @@ def format_ordinal(a: Ordinal) -> str:
     return "+".join(parts)
 
 
+# Deepest exponent nesting parse_ordinal accepts.  The parser and the
+# arithmetic recurse once per level, so text nested past this is
+# rejected as malformed instead of overflowing the interpreter stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise OrdinalParseError(message, self.pos)
@@ -383,9 +390,13 @@ class _Parser:
             if self.peek() == "^":
                 self.pos += 1
                 if self.peek() == "(":
+                    self.depth += 1
+                    if self.depth > MAX_NESTING:
+                        self.error(f"exponent nesting deeper than {MAX_NESTING}")
                     self.pos += 1
                     exp = self.ordinal()
                     self.eat(")")
+                    self.depth -= 1
                 elif self.peek() == "w":
                     self.pos += 1
                     exp = OMEGA

@@ -4,6 +4,8 @@ from dataclasses import replace
 import pytest
 
 from wpo.badseq import (
+    BadSequenceRecord,
+    BadnessReport,
     DescentRun,
     Shape2,
     Shape3,
@@ -17,7 +19,14 @@ from wpo.badseq import (
     verify_bad,
     write_run,
 )
-from wpo.lowerset import UNBOUNDED, format_gls
+from wpo.lowerset import (
+    UNBOUNDED,
+    GeneralLowerSet,
+    format_gls,
+    full_space,
+    inclusion_masks,
+)
+from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import ZERO, compare, format_ordinal, parse_ordinal
 
 W = UNBOUNDED
@@ -25,6 +34,30 @@ W = UNBOUNDED
 
 def o(text):
     return parse_ordinal(text)
+
+
+def run_of(dim, sets):
+    """A run whose records carry ``sets``; only the lower sets are real."""
+    records = tuple(
+        BadSequenceRecord(k + 1, ZERO, s, 0, s.max_finite_extent, None, 0, 0)
+        for k, s in enumerate(sets)
+    )
+    return DescentRun(dim, 1, ZERO, records)
+
+
+def includes_scan(sets, included=None):
+    """Reference verifier: the row-major pair scan with one inclusion
+    test a pair, stopping at the first D_i <= D_j."""
+    if included is None:
+        def included(small, big):
+            return big.includes(small)
+    pairs = 0
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            pairs += 1
+            if included(sets[i], sets[j]):
+                return BadnessReport(len(sets), pairs, (i + 1, j + 1))
+    return BadnessReport(len(sets), pairs, None)
 
 
 def rand_shape2(rng):
@@ -242,12 +275,50 @@ class TestVerifyBad:
         rep = verify_bad(DescentRun(2, 2, run.start, (r1, r2)))
         assert rep.first_violation == (1, 2)
 
-    def test_threads_agree_with_serial(self):
-        run = generate(3, 2, 40)
-        serial = verify_bad(run)
-        forked = verify_bad(run, threads=2)
-        assert serial.ok and forked.ok
-        assert serial.pairs_checked == forked.pairs_checked
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_includes_scan_on_random_runs(self, dim):
+        rng = random.Random(3000 + dim)
+        empty = GeneralLowerSet.make(dim, [])
+        for _ in range(150):
+            sets = []
+            for _ in range(rng.randint(0, 8)):
+                pick = rng.random()
+                if pick < 0.1:
+                    sets.append(empty)
+                elif pick < 0.15:
+                    sets.append(full_space(dim))
+                elif pick < 0.35 and sets:
+                    sets.append(rng.choice(sets))
+                else:
+                    sets.append(rand_gls(rng, dim, max_extent=4))
+            rep = verify_bad(run_of(dim, sets))
+            assert rep == includes_scan(sets)
+            assert rep == includes_scan(sets, brute_includes)
+
+    @pytest.mark.parametrize("dim,count", [(2, 60), (3, 30)])
+    def test_matches_includes_scan_on_tampered_runs(self, dim, count):
+        run = generate(dim, 2, count)
+        sets = [r.lower_set for r in run.records]
+        assert verify_bad(run) == includes_scan(sets)
+        rng = random.Random(dim)
+        for _ in range(25):
+            i, j = sorted(rng.sample(range(count), 2))
+            tampered = sets[:j] + [sets[i]] + sets[j + 1:]
+            records = list(run.records)
+            records[j] = replace(records[j], lower_set=sets[i])
+            rep = verify_bad(DescentRun(dim, 2, run.start, tuple(records)))
+            assert rep == includes_scan(tampered)
+            assert rep.first_violation is not None
+
+    def test_masks_decide_every_pair(self):
+        rng = random.Random(17)
+        for dim in (1, 2, 3):
+            sets = [rand_gls(rng, dim, max_extent=4) for _ in range(12)]
+            sets += [GeneralLowerSet.make(dim, []), full_space(dim)]
+            masks = inclusion_masks(sets)
+            for a, ma in zip(sets, masks):
+                for b, mb in zip(sets, masks):
+                    assert (ma & ~mb == 0) == brute_includes(a, b)
 
     def test_order_reversal_spot_check(self):
         """Strict order reversal between arbitrary shapes, not only
@@ -341,6 +412,18 @@ class TestRecordFiles:
         path = tmp_path / "run.rec"
         path.write_text("# dim: 2\n# base: 2\n")
         with pytest.raises(ValueError, match="start"):
+            read_run(str(path))
+
+    def test_record_count_must_match_header(self, tmp_path):
+        run = generate(2, 2, 10)
+        path = tmp_path / "run.rec"
+        write_run(run, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(ValueError, match="header says 10 records but the file holds 7"):
+            read_run(str(path))
+        path.write_text("\n".join(l for l in lines if not l.startswith("# records:")))
+        with pytest.raises(ValueError, match="records"):
             read_run(str(path))
 
 

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import main
+from wpo.ordinal import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +77,11 @@ class TestHardyCommand:
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "hardy", "w^^2", "3")
         assert code == 2 and err.startswith("error:")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "w^(" * 1500 + "1" + ")" * 1500, "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{MAX_NESTING}" in err
 
 
 class TestDescendCommand:
@@ -146,13 +156,14 @@ class TestBadseqVerify:
         assert code == 1
         assert "violation: record 1 is contained in record 2" in out
 
-    def test_threads_env(self, capsys, tmp_path, monkeypatch):
-        path = str(tmp_path / "run.rec")
-        run_cli(capsys, "badseq", "-m", "2", "-n", "20", "-o", path)
-        monkeypatch.setenv("WPO_THREADS", "2")
-        code, out, _ = run_cli(capsys, "verify", path)
-        assert code == 0
-        assert "pairs checked: 190" in out
+    def test_truncated_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "60", "-o", str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:30]) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "60" in err and "23" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/no/such/file.rec")
@@ -204,3 +215,17 @@ class TestParserPlumbing:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+def test_import_starts_no_process_machinery():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, wpo.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal
 from wpo.ordinal import (
+    MAX_NESTING,
     NotALimitError,
     OMEGA,
     ONE,
@@ -114,6 +115,17 @@ class TestFormatParse:
         with pytest.raises(OrdinalParseError) as exc:
             parse_ordinal("w^2+x")
         assert exc.value.position == 4
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return "w^(" * depth + "w" + ")" * depth
+
+        tower = OMEGA
+        for _ in range(MAX_NESTING):
+            tower = omega_pow(tower)
+        assert parse_ordinal(nested(MAX_NESTING)) == tower
+        with pytest.raises(OrdinalParseError, match=f"nesting deeper than {MAX_NESTING}"):
+            parse_ordinal(nested(MAX_NESTING + 1))
 
 
 class TestArithmetic:
