@@ -23,17 +23,12 @@ from dataclasses import dataclass
 from .lowerset import (
     GeneralLowerSet,
     UNBOUNDED,
+    complement_points,
     format_gls,
     inclusion_masks,
     parse_gls,
 )
-from .monomial import (
-    MonomialIdeal,
-    format_ideal,
-    parse_ideal,
-    rect_complement_ideal,
-    unit_ideal,
-)
+from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     OMEGA,
     ONE,
@@ -295,8 +290,8 @@ class _IdealFold:
     """Incremental complement ideal of a growing-prefix box list.
 
     Consecutive descent steps only change a suffix of the construction
-    order, so the partial intersections over the shared prefix are
-    reused.
+    order, so the complement points of the shared prefix are reused:
+    stack[k] holds the points outside the first k+1 boxes.
     """
 
     def __init__(self, dim: int):
@@ -305,7 +300,6 @@ class _IdealFold:
         self.stack: list = []
 
     def ideal(self, rects) -> MonomialIdeal:
-        rects = list(rects)
         k = 0
         limit = min(len(rects), len(self.rects))
         while k < limit and rects[k] == self.rects[k]:
@@ -313,10 +307,11 @@ class _IdealFold:
         del self.rects[k:]
         del self.stack[k:]
         for r in rects[k:]:
-            prev = self.stack[-1] if self.stack else unit_ideal(self.dim)
+            prev = self.stack[-1] if self.stack else None
             self.rects.append(r)
-            self.stack.append(prev.intersect(rect_complement_ideal(r, self.dim)))
-        return self.stack[-1] if self.stack else unit_ideal(self.dim)
+            self.stack.append(complement_points([r], self.dim, prev))
+        points = self.stack[-1] if self.stack else complement_points([], self.dim)
+        return MonomialIdeal(self.dim, tuple(points))
 
 
 @dataclass(frozen=True)
@@ -339,6 +334,30 @@ class DescentRun:
     records: tuple = ()
 
 
+def _step(alpha: Ordinal, x: int) -> Ordinal:
+    """One descent step with argument x."""
+    return fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
+
+
+def _derive(dim: int, base: int, index: int, alpha: Ordinal,
+            fold: _IdealFold) -> BadSequenceRecord:
+    """The record a run stores for ``alpha`` at ``index``."""
+    shape = shape_from_ordinal(alpha, dim)
+    rects = shape.rects()
+    lset = GeneralLowerSet.make(dim, rects)
+    ideal = fold.ideal(rects)
+    return BadSequenceRecord(
+        index=index,
+        alpha=alpha,
+        lower_set=lset,
+        norm=shape.norm(),
+        extent=lset.max_finite_extent,
+        ideal=ideal,
+        degree=ideal.degree(),
+        bound=(base + index) ** 2,
+    )
+
+
 def generate(dim: int, base: int, limit: int) -> DescentRun:
     """Descend ``limit`` steps from descent_start(dim), recording the
     staircase lower set, both size gauges, and the complement ideal of
@@ -349,24 +368,8 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
     fold = _IdealFold(dim)
     records = []
     for i in range(1, limit + 1):
-        x = base + i - 1
-        alpha = fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
-        shape = shape_from_ordinal(alpha, dim)
-        rects = shape.rects()
-        lset = GeneralLowerSet.make(dim, rects)
-        ideal = fold.ideal(rects)
-        records.append(
-            BadSequenceRecord(
-                index=i,
-                alpha=alpha,
-                lower_set=lset,
-                norm=shape.norm(),
-                extent=lset.max_finite_extent,
-                ideal=ideal,
-                degree=ideal.degree(),
-                bound=(base + i) ** 2,
-            )
-        )
+        alpha = _step(alpha, base + i - 1)
+        records.append(_derive(dim, base, i, alpha, fold))
         if alpha == ZERO:
             break
     return DescentRun(dim, base, descent_start(dim), tuple(records))
@@ -442,28 +445,18 @@ def audit_run(run: DescentRun) -> list:
         if alpha == ZERO:
             problems.append(f"record {rec.index}: descent already ended at 0")
             break
-        x = run.base + rec.index - 1
-        alpha = fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
+        alpha = _step(alpha, run.base + rec.index - 1)
         tag = f"record {rec.index}"
         if rec.alpha != alpha:
             problems.append(f"{tag}: ordinal {rec.alpha} is not the descent value {alpha}")
             alpha = rec.alpha  # keep auditing the stored trajectory
-        shape = shape_from_ordinal(rec.alpha, run.dim)
-        rects = shape.rects()
-        lset = GeneralLowerSet.make(run.dim, rects)
-        ideal = fold.ideal(rects)
-        if rec.lower_set != lset:
-            problems.append(f"{tag}: lower set mismatch")
-        if rec.norm != shape.norm():
-            problems.append(f"{tag}: norm {rec.norm} != {shape.norm()}")
-        if rec.extent != lset.max_finite_extent:
-            problems.append(f"{tag}: extent {rec.extent} != {lset.max_finite_extent}")
-        if rec.ideal != ideal:
-            problems.append(f"{tag}: ideal mismatch")
-        if rec.degree != ideal.degree():
-            problems.append(f"{tag}: degree {rec.degree} != {ideal.degree()}")
-        if rec.bound != (run.base + rec.index) ** 2:
-            problems.append(f"{tag}: bound {rec.bound} != {(run.base + rec.index) ** 2}")
+        want = _derive(run.dim, run.base, rec.index, rec.alpha, fold)
+        for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
+            got, exp = getattr(rec, name), getattr(want, name)
+            if got != exp:
+                label = name.replace("_", " ")
+                problems.append(f"{tag}: {label} {got} != {exp}" if isinstance(exp, int)
+                                else f"{tag}: {label} mismatch")
         if rec.norm > rec.bound:
             problems.append(f"{tag}: norm {rec.norm} exceeds bound {rec.bound}")
         if rec.degree > rec.bound:

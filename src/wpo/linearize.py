@@ -9,9 +9,8 @@ witnesses by exhausting every pair inside a finite grid.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-from .lowerset import FiniteLowerSet, enumerate_fls
+from .lowerset import FiniteLowerSet, enumerate_fls, from_finite, inclusion_masks
 from .ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum
 
 
@@ -65,20 +64,13 @@ def check_monotone(box) -> MonotoneReport:
 
     Every ordered pair of lower sets of the grid is examined; for the
     included ones the ranks must not reverse.  Inclusion is decided on
-    point bitmasks, independently of the rank construction.
+    probe bitmasks (``inclusion_masks``), independently of the rank
+    construction.
     """
     box = tuple(box)
-    points = sorted(product(*[range(e) for e in box]))
     sets = list(enumerate_fls(box))
-    masks = []
-    ranks = []
-    for f in sets:
-        mask = 0
-        for idx, p in enumerate(points):
-            if f.member(p):
-                mask |= 1 << idx
-        masks.append(mask)
-        ranks.append(ordinal_rank(f).value)
+    masks = inclusion_masks(from_finite(f) for f in sets)
+    ranks = [ordinal_rank(f).value for f in sets]
     violations = []
     n = len(sets)
     for i in range(n):

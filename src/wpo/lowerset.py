@@ -13,6 +13,9 @@ Two representations:
   irredundancy reduces to pairwise extent domination.)
 
 Unbounded extents are float("inf"), exported as UNBOUNDED, written "w".
+The complement of a lower set, given by the minimal points outside it,
+is computed here too (complement_points, from_complement); monomial.py
+wraps those points in ideals.
 """
 
 import math
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .vectors import maximal_points, minimal_points
+from .vectors import format_points, maximal_points, minimal_points, parse_points
 
 UNBOUNDED = float("inf")
 
@@ -250,29 +253,46 @@ def preimage(s: GeneralLowerSet, coords, dim: int) -> GeneralLowerSet:
 
 
 # The complement of a lower set is an upper set generated by finitely many
-# points, and projecting an upper set projects its generators.  That gives
-# intersection_image = complement . project . complement without any search.
+# points (a monomial ideal), and projecting an upper set projects its
+# generators.  That gives intersection_image = complement . project .
+# complement without any search.
 
-def _complement_generators(s: GeneralLowerSet) -> list:
-    """Minimal points of the complement of s (empty list = empty complement)."""
-    from .monomial import complement_ideal  # local import to avoid a cycle
+def complement_points(rects, dim: int, outside=None) -> list:
+    """Minimal points outside the union of ``rects``, sorted.
 
-    return list(complement_ideal(s).gens)
+    ``outside`` holds the minimal points outside some earlier boxes
+    (default: the origin, outside no box) and the result continues from
+    it: a point stays outside box r exactly when it reaches r's extent
+    in some finite coordinate, so each box raises one finite coordinate
+    of every point kept so far.  A box unbounded everywhere leaves
+    nothing outside.
+    """
+    points = [(0,) * dim] if outside is None else list(outside)
+    for r in rects:
+        raised = [p[:t] + (max(p[t], e),) + p[t + 1:]
+                  for p in points for t, e in enumerate(r) if e != UNBOUNDED]
+        points = minimal_points(raised, dim)
+    return points
+
+
+def from_complement(points, dim: int) -> GeneralLowerSet:
+    """The lower set of points that dominate none of ``points``."""
+    out = full_space(dim)
+    for g in points:
+        slabs = [
+            tuple(g[t] if i == t else UNBOUNDED for i in range(dim))
+            for t in range(dim)
+            if g[t] > 0
+        ]
+        out = out.intersect(GeneralLowerSet.make(dim, slabs))
+    return out
 
 
 def intersection_image(s: GeneralLowerSet, coords) -> GeneralLowerSet:
     """The points p of the projected space whose whole fiber lies in s."""
     coords = sorted(coords)
-    gens = [tuple(g[i] for i in coords) for g in _complement_generators(s)]
-    out = full_space(len(coords))
-    for g in minimal_points(gens, len(coords)):
-        slabs = [
-            tuple(g[t] if i == t else UNBOUNDED for i in range(len(coords)))
-            for t in range(len(coords))
-            if g[t] > 0
-        ]
-        out = out.intersect(GeneralLowerSet.make(len(coords), slabs))
-    return out
+    points = [tuple(g[i] for i in coords) for g in complement_points(s.rects, s.dim)]
+    return from_complement(minimal_points(points, len(coords)), len(coords))
 
 
 def _nonempty_subsets(dim: int):
@@ -439,8 +459,6 @@ def enumerate_fls(box):
 def enumerate_gls(dim: int, extents, max_rects: int):
     """Yield every distinct union of at most ``max_rects`` boxes whose
     extents come from ``extents``, canonicalized, each set once."""
-    from .monomial import complement_ideal
-
     menu = sorted(set(extents), key=lambda e: (e == UNBOUNDED, e))
     if not all((isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in menu):
         raise ValueError("extents must be positive integers or UNBOUNDED")
@@ -449,9 +467,8 @@ def enumerate_gls(dim: int, extents, max_rects: int):
     for count in range(max_rects + 1):
         for combo in combinations(boxes, count):
             s = GeneralLowerSet.make(dim, combo)
-            key = complement_ideal(s).gens
-            if key not in seen:
-                seen.add(key)
+            if s.rects not in seen:
+                seen.add(s.rects)
                 yield s
 
 
@@ -460,7 +477,7 @@ def enumerate_gls(dim: int, extents, max_rects: int):
 
 
 def format_fls(f: FiniteLowerSet) -> str:
-    return "{" + ";".join("(" + ",".join(map(str, g)) + ")" for g in f.generators) + "}"
+    return "{" + format_points(f.generators) + "}"
 
 
 def parse_fls(text: str, dim: int | None = None) -> FiniteLowerSet:
@@ -472,15 +489,8 @@ def parse_fls(text: str, dim: int | None = None) -> FiniteLowerSet:
         if dim is None:
             raise ValueError("cannot infer dimension of an empty literal")
         return FiniteLowerSet(dim)
-    gens = []
-    for chunk in body.split(";"):
-        m = re.fullmatch(r"\(([0-9,]*)\)", chunk)
-        if not m:
-            raise ValueError(f"bad generator {chunk!r}")
-        gens.append(tuple(int(c) for c in m.group(1).split(",")))
-    if dim is None:
-        dim = len(gens[0])
-    return closure(gens, dim)
+    gens = parse_points(body, dim, "bad generator")
+    return closure(gens, len(gens[0]))
 
 
 def _extent_str(e) -> str:

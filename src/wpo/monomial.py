@@ -5,14 +5,15 @@ member monomials; it is stored by its unique minimal generating set.
 The unit ideal has the single generator 0, the zero ideal has none.
 
 Complementation exchanges these ideals with the lower sets of
-lowerset.py: x is in the ideal of D exactly when x is not in D.
+lowerset.py: x is in the ideal of D exactly when x is not in D.  The
+complement itself is computed in lowerset.py (complement_points,
+from_complement); this module wraps its points in ideals.
 """
 
-import re
 from dataclasses import dataclass
 
-from .lowerset import UNBOUNDED, GeneralLowerSet, full_space
-from .vectors import dominates, minimal_points
+from .lowerset import GeneralLowerSet, complement_points, from_complement
+from .vectors import dominates, format_points, minimal_points, parse_points
 
 _VARS = ("X", "Y", "Z")
 
@@ -86,39 +87,21 @@ def intersect_all(ideals, dim: int) -> MonomialIdeal:
 def rect_complement_ideal(rect, dim: int) -> MonomialIdeal:
     """Ideal of monomials outside one box: x_t >= extent for some finite
     coordinate t.  A box unbounded everywhere leaves nothing outside."""
-    gens = []
-    for t, e in enumerate(rect):
-        if e != UNBOUNDED:
-            v = [0] * dim
-            v[t] = e
-            gens.append(tuple(v))
-    return MonomialIdeal.make(dim, gens)
+    return MonomialIdeal(dim, tuple(complement_points([rect], dim)))
 
 
 def complement_ideal(s: GeneralLowerSet) -> MonomialIdeal:
     """The ideal whose monomials are exactly the points outside s."""
-    return intersect_all(
-        (rect_complement_ideal(r, s.dim) for r in s.rects), s.dim
-    )
+    return MonomialIdeal(s.dim, tuple(complement_points(s.rects, s.dim)))
 
 
 def complement_lowerset(i: MonomialIdeal) -> GeneralLowerSet:
     """The lower set of points outside i; inverse of complement_ideal."""
-    out = full_space(i.dim)
-    for g in i.gens:
-        slabs = [
-            tuple(g[t] if j == t else UNBOUNDED for j in range(i.dim))
-            for t in range(i.dim)
-            if g[t] > 0
-        ]
-        out = out.intersect(GeneralLowerSet.make(i.dim, slabs))
-    return out
+    return from_complement(i.gens, i.dim)
 
 
 def format_ideal(i: MonomialIdeal) -> str:
-    if i.is_zero:
-        return "0"
-    return ";".join("(" + ",".join(map(str, g)) + ")" for g in i.gens)
+    return "0" if i.is_zero else format_points(i.gens)
 
 
 def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
@@ -127,15 +110,8 @@ def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
         if dim is None:
             raise ValueError("cannot infer dimension of the zero ideal")
         return zero_ideal(dim)
-    gens = []
-    for chunk in text.split(";"):
-        m = re.fullmatch(r"\(([0-9,]*)\)", chunk)
-        if not m:
-            raise ValueError(f"bad exponent vector {chunk!r}")
-        gens.append(tuple(int(c) for c in m.group(1).split(",")))
-    if dim is None:
-        dim = len(gens[0])
-    return MonomialIdeal.make(dim, gens)
+    gens = parse_points(text, dim, "bad exponent vector")
+    return MonomialIdeal.make(len(gens[0]), gens)
 
 
 def _var(t: int, dim: int) -> str:

@@ -10,7 +10,7 @@ Text form: ``w^(w+2)+w^2*3+5`` (see parse_ordinal / format_ordinal).
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cmp_to_key
 from math import comb
 
 
@@ -157,18 +157,8 @@ def natural_product(a, b) -> Ordinal:
         for eb, cb in b.terms:
             e = natural_sum(ea, eb)
             acc[e] = acc.get(e, 0) + ca * cb
-    terms = sorted(acc.items(), key=lambda t: _SortKey(t[0]), reverse=True)
-    return Ordinal(tuple(terms))
-
-
-class _SortKey:
-    __slots__ = ("o",)
-
-    def __init__(self, o: Ordinal):
-        self.o = o
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return compare(self.o, other.o) < 0
+    exps = sorted(acc, key=cmp_to_key(compare), reverse=True)
+    return Ordinal(tuple((e, acc[e]) for e in exps))
 
 
 def omega_pow(a) -> Ordinal:
@@ -440,7 +430,3 @@ def parse_ordinal(text: str) -> Ordinal:
     if p.pos != len(p.text):
         p.error("trailing input")
     return result
-
-
-def natural_sum_all(ordinals) -> Ordinal:
-    return reduce(natural_sum, ordinals, ZERO)

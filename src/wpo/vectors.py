@@ -1,9 +1,12 @@
 """Componentwise dominance helpers for integer vectors.
 
 Everything here works on plain tuples.  Coordinates may be ints or
-float("inf"); all comparisons are componentwise.
+float("inf"); all comparisons are componentwise.  The text form of a
+point list, shared by finite lower sets and monomial ideals, is also
+here: ``(0,1);(1,0)``.
 """
 
+import re
 from bisect import bisect_left, bisect_right
 
 
@@ -62,3 +65,27 @@ def maximal_points(points, dim: int) -> list:
     """Componentwise-maximal elements of ``points``, sorted."""
     neg = [tuple(-c for c in p) for p in points]
     return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
+
+
+def format_points(points) -> str:
+    return ";".join("(" + ",".join(map(str, p)) + ")" for p in points)
+
+
+def parse_points(text: str, dim: int | None, what: str) -> list:
+    """Read ``(a,b,...);(c,d,...)`` into a list of int tuples.
+
+    Every vector must have ``dim`` coordinates, or as many as the first
+    one when ``dim`` is None; ``what`` names a vector in the errors.
+    """
+    points = []
+    for chunk in text.split(";"):
+        m = re.fullmatch(r"\(([0-9,]*)\)", chunk)
+        if not m:
+            raise ValueError(f"{what} {chunk!r}")
+        points.append(tuple(int(c) for c in m.group(1).split(",")))
+    if dim is None:
+        dim = len(points[0])
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"{what} {p} for dimension {dim}")
+    return points

@@ -26,6 +26,7 @@ from wpo.lowerset import (
     full_space,
     inclusion_masks,
 )
+from wpo.monomial import unit_ideal
 from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import ZERO, compare, format_ordinal, parse_ordinal
 
@@ -339,20 +340,34 @@ class TestAudit:
     def test_detects_tampered_fields(self):
         run = generate(2, 2, 10)
         rec = run.records[4]
+        top = "w^(w+1)+w^w*2+w^3*4"
         cases = {
-            "norm": replace(rec, norm=rec.norm + 1),
-            "extent": replace(rec, extent=rec.extent + 1),
-            "degree": replace(rec, degree=rec.degree - 1),
-            "bound": replace(rec, bound=rec.bound + 1),
-            "ordinal": replace(rec, alpha=o("w^w")),
-            "lower set": replace(rec, lower_set=lower_set_of(o("w^w"), 2)),
-            "index": replace(rec, index=11),
+            "norm": (replace(rec, norm=rec.norm + 1), ["record 5: norm 17 != 16"]),
+            "extent": (replace(rec, extent=rec.extent + 1), ["record 5: extent 15 != 14"]),
+            "degree": (replace(rec, degree=rec.degree - 1), ["record 5: degree 14 != 15"]),
+            "bound": (replace(rec, bound=rec.bound + 1), ["record 5: bound 50 != 49"]),
+            "ordinal": (replace(rec, alpha=o("w^w")), [
+                f"record 5: ordinal w^w is not the descent value {top}+w^2*6",
+                "record 5: lower set mismatch",
+                "record 5: norm 16 != 1",
+                "record 5: extent 14 != 1",
+                "record 5: ideal mismatch",
+                "record 5: degree 15 != 1",
+                f"record 6: ordinal {top}+w^2*5+w*7 is not the descent value w^7",
+            ]),
+            "lower set": (replace(rec, lower_set=lower_set_of(o("w^w"), 2)),
+                          ["record 5: lower set mismatch"]),
+            "ideal": (replace(rec, ideal=unit_ideal(2)), ["record 5: ideal mismatch"]),
+            "index": (replace(rec, index=11), [
+                "record 5: index says 11",
+                f"record 6: ordinal {top}+w^2*5+w*7 is not the descent value {top}+w^2*7",
+            ]),
         }
-        for label, bad in cases.items():
+        for label, (bad, expected) in cases.items():
             records = list(run.records)
             records[4] = bad
             problems = audit_run(DescentRun(2, 2, run.start, tuple(records)))
-            assert problems, label
+            assert problems == expected, label
 
     def test_detects_wrong_start(self):
         run = generate(2, 2, 5)

@@ -61,6 +61,11 @@ class TestOrdCommand:
         code, _, err = run_cli(capsys, "ord", "{}")
         assert code == 2 and "error:" in err
 
+    def test_generator_lengths_must_agree(self, capsys):
+        code, out, err = run_cli(capsys, "ord", "{(1,2);(3)}")
+        assert code == 2 and out == ""
+        assert err == "error: bad generator (3,) for dimension 2\n"
+
 
 class TestHardyCommand:
     def test_small_values(self, capsys):
@@ -122,6 +127,11 @@ class TestIdealCommand:
         code, out, _ = run_cli(capsys, "ideal", "--gens", "0", "--dim", "2")
         assert code == 0 and out.strip() == "[w,w]"
 
+    def test_generator_lengths_must_agree(self, capsys):
+        code, out, err = run_cli(capsys, "ideal", "--gens", "(1,2);(3)")
+        assert code == 2 and out == ""
+        assert err == "error: bad exponent vector (3,) for dimension 2\n"
+
     def test_requires_an_argument(self, capsys):
         code, _, err = run_cli(capsys, "ideal")
         assert code == 2 and "give a lower set or --gens" in err
@@ -177,6 +187,18 @@ class TestBadseqVerify:
         path.write_text("\n".join(lines))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and "line 8" in err
+
+    def test_short_ideal_vector_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[7].split("|")
+        cols[5] = "(1,2);(3)"
+        lines[7] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 8: bad exponent vector (3,) for dimension 2\n"
 
 
 class TestOracleCommand:

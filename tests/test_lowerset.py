@@ -1,9 +1,12 @@
+import ast
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from support import rand_point
+from wpo import lowerset
 from wpo.lowerset import (
     ENUMERATION_GUARD,
     FiniteLowerSet,
@@ -12,6 +15,7 @@ from wpo.lowerset import (
     UNBOUNDED,
     UnboundedError,
     closure,
+    complement_points,
     compose_parts,
     decompose_parts,
     enumerate_fls,
@@ -216,6 +220,15 @@ class TestProjection:
         with pytest.raises(ValueError):
             preimage(s, [0, 1], 3)
 
+    def test_complement_points_continue_from_a_prefix(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            dim = rng.choice([1, 2, 3])
+            rects = rand_gls(rng, dim, max_rects=6).rects
+            k = rng.randint(0, len(rects))
+            prefix = complement_points(rects[:k], dim)
+            assert complement_points(rects[k:], dim, prefix) == complement_points(rects, dim)
+
     def test_intersection_image_pinned(self):
         s = GeneralLowerSet.make(2, [(1, W), (3, 2)])
         assert format_gls(intersection_image(s, [0])) == "[1]"
@@ -407,3 +420,16 @@ class TestTextForm:
 
     def test_spaces_tolerated(self):
         assert parse_gls(" [2, w] u [w, 2] ").rects == ((2, W), (W, 2))
+
+
+def test_lowerset_does_not_import_monomial():
+    """lowerset owns the complement and monomial wraps it, so imports
+    run one way only."""
+    tree = ast.parse(Path(lowerset.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert not [n for n in names if "monomial" in n]
