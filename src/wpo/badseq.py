@@ -18,6 +18,8 @@ sets stay within the norm of their ordinals: extent <= norm at every
 record.
 """
 
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .lowerset import (
@@ -501,8 +503,19 @@ def run_lines(run: DescentRun) -> list:
 
 
 def write_run(run: DescentRun, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(run_lines(run)) + "\n")
+    """Write the record file atomically: into a temporary file beside
+    ``path``, which then replaces it.  A failed write leaves an older
+    file at ``path`` whole and no temporary file behind."""
+    text = "\n".join(run_lines(run)) + "\n"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_run(path: str) -> DescentRun:

@@ -9,6 +9,7 @@ witnesses by exhausting every pair inside a finite grid.
 """
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .lowerset import FiniteLowerSet, enumerate_fls, from_finite, inclusion_masks
 from .ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum
@@ -71,14 +72,15 @@ def check_monotone(box) -> MonotoneReport:
     sets = list(enumerate_fls(box))
     masks = inclusion_masks(from_finite(f) for f in sets)
     ranks = [ordinal_rank(f).value for f in sets]
+    # each rank's place in the sorted distinct ranks: one int comparison per pair
+    order = {r: k for k, r in enumerate(sorted(set(ranks), key=cmp_to_key(compare)))}
+    places = [order[r] for r in ranks]
     violations = []
     n = len(sets)
     for i in range(n):
         mi = masks[i]
-        ri = ranks[i]
+        pi = places[i]
         for j in range(n):
-            if mi & ~masks[j]:
-                continue
-            if compare(ri, ranks[j]) > 0:
-                violations.append((sets[i], sets[j], ri, ranks[j]))
+            if pi > places[j] and not mi & ~masks[j]:
+                violations.append((sets[i], sets[j], ranks[i], ranks[j]))
     return MonotoneReport(box, n, n * n, tuple(violations))

@@ -420,6 +420,10 @@ def is_compatible(s: GeneralLowerSet, p: PartialSpecification) -> bool:
 
 ENUMERATION_GUARD = 2 ** 20
 
+# Most lower sets enumerate_fls yields before it gives up.  Callers pair
+# every set with every other, so this caps them at 25M pairs.
+MAX_LOWER_SETS = 5000
+
 
 def enumerate_fls(box):
     """Yield every lower set inside the finite grid ``box``, as
@@ -427,6 +431,8 @@ def enumerate_fls(box):
 
     Walks the grid points in lexicographic (linear-extension) order;
     a point may be present only when all its immediate predecessors are.
+    Raises ValueError on a volume above ENUMERATION_GUARD, and once more
+    than MAX_LOWER_SETS sets have turned up.
     """
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
@@ -437,23 +443,32 @@ def enumerate_fls(box):
     dim = len(box)
     points = sorted(product(*[range(e) for e in box]))
 
-    def preds(p):
-        return [p[:i] + (p[i] - 1,) + p[i + 1:] for i in range(dim) if p[i] > 0]
+    preds = [
+        [p[:i] + (p[i] - 1,) + p[i + 1:] for i in range(dim) if p[i] > 0]
+        for p in points
+    ]
 
     chosen: set = set()
-
-    def walk(k: int):
-        if k == len(points):
+    found = 0
+    # explicit stack, deepest action last: ("visit", k) decides point k
+    # with it left out first; ("add", k) and ("drop", k) bracket the
+    # branch that takes it.
+    stack = [("visit", 0)]
+    while stack:
+        action, k = stack.pop()
+        if action == "add":
+            chosen.add(points[k])
+        elif action == "drop":
+            chosen.remove(points[k])
+        elif k == len(points):
+            found += 1
+            if found > MAX_LOWER_SETS:
+                raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
             yield closure(list(chosen), dim)
-            return
-        p = points[k]
-        yield from walk(k + 1)
-        if all(q in chosen for q in preds(p)):
-            chosen.add(p)
-            yield from walk(k + 1)
-            chosen.remove(p)
-
-    yield from walk(0)
+        else:
+            if all(q in chosen for q in preds[k]):
+                stack += [("drop", k), ("visit", k + 1), ("add", k)]
+            stack.append(("visit", k + 1))
 
 
 def enumerate_gls(dim: int, extents, max_rects: int):

@@ -5,7 +5,8 @@ never through the clever paths it is checking.  Inclusion of lower
 sets, in particular, is decided by testing membership of every grid
 point up to one past the largest finite extent in sight; a
 counterexample point, capped coordinatewise at that bound, stays a
-counterexample, so the grid is conclusive.
+counterexample, so the grid is conclusive.  Likewise ``naive_hardy``
+makes one rewrite per step where ``ordinal.hardy`` jumps.
 """
 
 import random
@@ -24,6 +25,7 @@ from .lowerset import (
     validate_specification,
 )
 from .monomial import complement_ideal, complement_lowerset
+from .ordinal import HardyOutcome, fundamental, is_successor, predecessor
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,20 @@ def rand_proper_gls(rng: random.Random, dim: int, **kw) -> GeneralLowerSet:
         s = rand_gls(rng, dim, **kw)
         if s.proper:
             return s
+
+
+def naive_hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
+    """H_alpha(x) by one rewrite per step: the reference for ordinal.hardy."""
+    if x < 0 or budget < 1:
+        raise ValueError("need x >= 0 and budget >= 1")
+    steps = 0
+    while alpha.terms:
+        if steps == budget:
+            return HardyOutcome(steps=steps, ordinal=alpha, argument=x)
+        alpha = predecessor(alpha) if is_successor(alpha) else fundamental(alpha, x)
+        x += 1
+        steps += 1
+    return HardyOutcome(steps=steps, value=x)
 
 
 def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleReport:

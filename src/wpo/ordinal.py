@@ -85,15 +85,30 @@ class Ordinal:
         return self.terms[0][1]
 
 
+def _trusted(terms: tuple) -> Ordinal:
+    """An Ordinal over ``terms`` without the validation of ``Ordinal(...)``.
+
+    Only for terms already in normal form by construction: the results
+    of the arithmetic below and of the parser, which checks its own
+    input.  Skipping ``__post_init__`` saves one recursive comparison
+    per adjacent pair of exponents.
+    """
+    a = object.__new__(Ordinal)
+    object.__setattr__(a, "terms", terms)
+    return a
+
+
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
+    if not isinstance(n, int):
+        raise TypeError(f"{n!r} is not an int")
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _trusted(((ZERO, n),)) if n else ZERO
 
 
 def _as_ordinal(x) -> Ordinal:
@@ -102,6 +117,8 @@ def _as_ordinal(x) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way comparison: -1, 0, or 1."""
+    if a is b:
+        return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
         c = compare(ea, eb)
         if c:
@@ -122,8 +139,8 @@ def add(a, b) -> Ordinal:
     kept = [t for t in a.terms if compare(t[0], lead) > 0]
     if len(kept) < len(a.terms) and compare(a.terms[len(kept)][0], lead) == 0:
         merged = (lead, a.terms[len(kept)][1] + lead_coeff)
-        return Ordinal(tuple(kept) + (merged,) + b.terms[1:])
-    return Ordinal(tuple(kept) + b.terms)
+        return _trusted(tuple(kept) + (merged,) + b.terms[1:])
+    return _trusted(tuple(kept) + b.terms)
 
 
 def natural_sum(a, b) -> Ordinal:
@@ -146,7 +163,7 @@ def natural_sum(a, b) -> Ordinal:
             j += 1
     out.extend(ta[i:])
     out.extend(tb[j:])
-    return Ordinal(tuple(out))
+    return _trusted(tuple(out))
 
 
 def natural_product(a, b) -> Ordinal:
@@ -196,8 +213,8 @@ def predecessor(a: Ordinal) -> Ordinal:
         raise ValueError(f"{a} is not a successor")
     exp, coeff = a.terms[-1]
     if coeff == 1:
-        return Ordinal(a.terms[:-1])
-    return Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
+        return _trusted(a.terms[:-1])
+    return _trusted(a.terms[:-1] + ((exp, coeff - 1),))
 
 
 def fundamental(lam: Ordinal, x: int) -> Ordinal:
@@ -209,16 +226,15 @@ def fundamental(lam: Ordinal, x: int) -> Ordinal:
     """
     if not is_limit(lam):
         raise NotALimitError(f"{lam} has no fundamental sequence")
-    if x < 0:
+    if not isinstance(x, int) or x < 0:
         raise ValueError("index must be a natural number")
     exp, coeff = lam.terms[-1]
     prefix = lam.terms[:-1] if coeff == 1 else lam.terms[:-1] + ((exp, coeff - 1),)
     if is_limit(exp):
-        step = omega_pow(fundamental(exp, x))
+        step = ((fundamental(exp, x), 1),)
     else:
-        beta = predecessor(exp)
-        step = Ordinal(((beta, x),)) if x else ZERO
-    return Ordinal(prefix + step.terms)
+        step = ((predecessor(exp), x),) if x else ()
+    return _trusted(prefix + step)
 
 
 @dataclass(frozen=True)
@@ -245,6 +261,10 @@ def hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
 
     H_0(x) = x, H_{a+1}(x) = H_a(x+1), and at limits
     H_l(x) = H_{l[x]}(x+1).  Each rewrite costs one budget unit.
+
+    A finite tail is taken in one jump, H_{b+n}(x) = H_b(x+n) for n
+    rewrites, cut short where the budget runs out, so ``steps``, the
+    value and the residual are those of one rewrite at a time.
     """
     alpha = _as_ordinal(alpha)
     if x < 0 or budget < 1:
@@ -253,9 +273,16 @@ def hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
     while alpha.terms:
         if steps == budget:
             return HardyOutcome(steps=steps, ordinal=alpha, argument=x)
-        alpha = predecessor(alpha) if is_successor(alpha) else fundamental(alpha, x)
-        x += 1
-        steps += 1
+        exp, coeff = alpha.terms[-1]
+        if exp:
+            alpha = fundamental(alpha, x)
+            n = 1
+        else:
+            n = min(coeff, budget - steps)
+            rest = alpha.terms[:-1]
+            alpha = _trusted(rest if n == coeff else rest + ((ZERO, coeff - n),))
+        x += n
+        steps += n
     return HardyOutcome(steps=steps, value=x)
 
 
@@ -420,7 +447,7 @@ class _Parser:
         for (ea, _), (eb, _) in zip(terms, terms[1:]):
             if compare(ea, eb) <= 0:
                 self.error("exponents must strictly decrease")
-        return Ordinal(tuple(terms))
+        return _trusted(tuple(terms))
 
 
 def parse_ordinal(text: str) -> Ordinal:

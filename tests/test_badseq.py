@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from wpo import badseq
 from wpo.badseq import (
     BadSequenceRecord,
     BadnessReport,
@@ -440,6 +441,34 @@ class TestRecordFiles:
         path.write_text("\n".join(l for l in lines if not l.startswith("# records:")))
         with pytest.raises(ValueError, match="records"):
             read_run(str(path))
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.rec"
+        write_run(generate(2, 2, 10), str(path))
+        old = path.read_bytes()
+
+        def broken(run):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(badseq, "run_lines", broken)
+        with pytest.raises(RuntimeError):
+            write_run(generate(2, 2, 20), str(path))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.rec"]
+
+    def test_failed_rename_removes_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.rec"
+        write_run(generate(2, 2, 10), str(path))
+        old = path.read_bytes()
+
+        def broken(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(badseq.os, "replace", broken)
+        with pytest.raises(OSError, match="rename refused"):
+            write_run(generate(2, 2, 20), str(path))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.rec"]
 
 
 class TestSymbolicBound:

@@ -79,6 +79,15 @@ class TestHardyCommand:
         assert code == 0
         assert out.strip() == "residual: H_{w+7}(12) after 10 steps (budget exhausted)"
 
+    def test_default_budget_residual(self, capsys):
+        # pinned from the one-rewrite-per-step evaluator
+        code, out, _ = run_cli(capsys, "hardy", "w^(w+2)", "2")
+        assert code == 0
+        assert out.strip() == (
+            "residual: H_{w^(w+1)+w^w*2+w^3*4+w^2*4+w*1141+180669}(1000002) "
+            "after 1000000 steps (budget exhausted)"
+        )
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "hardy", "w^^2", "3")
         assert code == 2 and err.startswith("error:")
@@ -222,6 +231,18 @@ class TestOracleCommand:
             code, out, _ = run_cli(capsys, "oracle", suite, "--seed", "5", *extra)
             assert code == 0, suite
             assert "ok" in out and "seed: 5" in out
+
+    def test_monotone_thin_box(self, capsys):
+        # one grid point per level of the search: deeper than the interpreter stack
+        code, out, _ = run_cli(capsys, "oracle", "monotone", "--box", "1x1500")
+        assert code == 0
+        assert out.strip() == "monotone box=1x1500: 1501 sets, 2253001 pairs, 0 violations"
+
+    def test_monotone_too_many_sets(self, capsys):
+        # 12,870 lower sets: refused once the 5001st turns up
+        code, out, err = run_cli(capsys, "oracle", "monotone", "--box", "8x8")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "5000 lower sets" in err
 
     def test_bad_box(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "monotone", "--box", "0x4")

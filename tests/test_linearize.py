@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from wpo import linearize
 from wpo.linearize import check_monotone, lex_ordinal, ordinal_rank
 from wpo.lowerset import closure, enumerate_fls
 from wpo.ordinal import ONE, ZERO, add, compare, from_int, natural_sum, parse_ordinal
@@ -76,3 +77,18 @@ class TestMonotone:
     def test_three_dimensional(self):
         rep = check_monotone((2, 2, 2))
         assert rep.sets_counted == 20 and rep.ok
+
+    def test_reversed_pair_reported(self, monkeypatch):
+        # the chain {} < a1 < a2 < a3 of the 1x3 box, with the ranks of
+        # a1 and a3 swapped: every included pair among the three reverses
+        a1, a2, a3 = (closure([(0, k)], 2) for k in range(3))
+        swap = {a1: a3, a3: a1}
+        real = linearize.ordinal_rank
+        monkeypatch.setattr(linearize, "ordinal_rank", lambda f: real(swap.get(f, f)))
+        rep = check_monotone((1, 3))
+        assert rep.sets_counted == 4 and rep.pairs_checked == 16
+        assert rep.violations == (
+            (a1, a2, from_int(3), from_int(2)),
+            (a1, a3, from_int(3), from_int(1)),
+            (a2, a3, from_int(2), from_int(1)),
+        )

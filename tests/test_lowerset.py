@@ -379,6 +379,13 @@ class TestEnumeration:
             seen.add(pts)
         assert len(seen) == 10
 
+    def test_set_cap(self):
+        # 3x3x4 holds 4116 lower sets, 8x8 holds 12,870
+        assert lowerset.MAX_LOWER_SETS == 5000
+        assert sum(1 for _ in enumerate_fls((3, 3, 4))) == 4116
+        with pytest.raises(ValueError, match="more than 5000 lower sets"):
+            list(enumerate_fls((8, 8)))
+
     def test_guard(self):
         with pytest.raises(ValueError):
             list(enumerate_fls((2,) * 25))

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal
+from wpo.oracles import naive_hardy
 from wpo.ordinal import (
+    HardyOutcome,
     MAX_NESTING,
     NotALimitError,
     OMEGA,
@@ -36,6 +38,11 @@ def o(text):
     return parse_ordinal(text)
 
 
+def revalidated(a):
+    """a rebuilt through the public constructor at every level."""
+    return Ordinal(tuple((revalidated(e), c) for e, c in a.terms))
+
+
 # frozen values, derived by hand before the implementation existed
 TYPE_STRINGS = {
     (1, 1): "w",
@@ -59,6 +66,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ordinal(((ONE, 1), (ONE, 2)))
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.integers(0, 2**32))
+    def test_internal_results_pass_public_validation(self, seed):
+        # the arithmetic builds its results without validation
+        rng = random.Random(seed)
+        a, b = rand_ordinal(rng), rand_ordinal(rng)
+        lam, x = rand_limit(rng), rng.randint(0, 5)
+        succ = add(a, from_int(rng.randint(1, 3)))
+        results = [
+            add(a, b), natural_sum(a, b), natural_product(a, b),
+            fundamental(lam, x), predecessor(succ), predecessor(from_int(1)),
+            parse_ordinal(format_ordinal(a)),
+        ]
+        residual = hardy(succ, x, budget=rng.randint(1, 50)).ordinal
+        if residual is not None:
+            results.append(residual)
+        for r in results:
+            assert revalidated(r) == r
+
     def test_int_round_trip(self):
         for n in range(10):
             assert from_int(n).as_int() == n
@@ -66,6 +92,8 @@ class TestConstruction:
             OMEGA.as_int()
         with pytest.raises(ValueError):
             from_int(-1)
+        with pytest.raises(TypeError):
+            from_int(2.5)
 
     def test_comparison_operators(self):
         assert ZERO < ONE < OMEGA < omega_pow(OMEGA)
@@ -204,6 +232,12 @@ class TestFundamental:
             with pytest.raises(NotALimitError):
                 fundamental(bad, 2)
 
+    def test_rejects_non_natural_index(self):
+        # the result is built unvalidated, so the index is checked up front
+        for bad in [-1, 2.0, "2"]:
+            with pytest.raises(ValueError, match="natural number"):
+                fundamental(o("w^2"), bad)
+
     def test_strictly_below(self):
         rng = random.Random(7)
         for _ in range(2000):
@@ -231,6 +265,20 @@ class TestHardy:
         assert out.value is None
         assert out.argument == 10002
         assert compare(out.ordinal, o("w^(w+2)")) == -1
+
+    def test_finite_tail_in_one_pass(self):
+        # H_{w+10}(0) = H_w(10): ten unit steps, cut short by the budget
+        assert hardy(o("w+10"), 0, budget=3) == HardyOutcome(3, None, o("w+7"), 3)
+        assert hardy(o("w+10"), 0, budget=10) == HardyOutcome(10, None, OMEGA, 10)
+        # H_{b+w}(x) = H_b(2x+1) in x+1 steps
+        assert hardy(o("w^2+w"), 4, budget=5) == HardyOutcome(5, None, o("w^2"), 9)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 5), st.integers(1, 5000))
+    def test_matches_naive_stepper(self, seed, x, budget):
+        rng = random.Random(seed)
+        alpha = add(rand_ordinal(rng), from_int(rng.randint(0, 50)))
+        assert hardy(alpha, x, budget) == naive_hardy(alpha, x, budget)
 
     def test_residual_resumes_to_same_value(self):
         # splitting the budget must not change the result
