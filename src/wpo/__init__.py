@@ -82,8 +82,6 @@ from .badseq import (
     BadnessReport,
     BadSequenceRecord,
     DescentRun,
-    Shape2,
-    Shape3,
     audit_run,
     descent_start,
     generate,

@@ -1,26 +1,31 @@
 """Long bad sequences of lower sets from ordinal descent.
 
-A descent run starts at the largest ordinal the staircase shapes cover
-(w^(w+2) in two dimensions, w^(w^2+w*3+3) in three), then repeatedly
-steps down: fundamental-sequence member at limits, predecessor at
-successors, with the step argument increasing by one each time.  Every
-ordinal on the way is translated into a union-of-boxes lower set whose
-geometry reverses the ordinal order strictly, so the resulting list of
-lower sets is bad: no earlier set is contained in a later one.
+A descent run in dimension m starts at w^E, the largest ordinal below
+the type w^E+1 of all lower sets of N^m (w, w^(w+2), w^(w^2+w*3+3) for
+m = 1, 2, 3), then repeatedly steps down: fundamental-sequence member
+at limits, predecessor at successors, with the step argument
+increasing by one each time.  Every ordinal on the way is translated
+into a union-of-boxes lower set whose geometry reverses the ordinal
+order strictly, so the resulting list of lower sets is bad: no earlier
+set is contained in a later one.
+
+One rule translates in every dimension (``shape_from_ordinal``): E
+has a block for each set of j bounded coordinates, j = 1..m, and each
+term of the ordinal becomes one box of its block's staircase.
 
 Records carry two size gauges.  ``norm`` is read off the ordinal
-(all its coefficients plus the largest finite exponent offset) and is
-capped by (base+index)^2 along a run.  ``extent`` is the largest
-finite box extent of the lower set.  The shapes emit no box larger
-than the ordering needs (a slab is as wide as its coefficient, every
-other box sits 2 past what it builds on), so along a run the lower
-sets stay within the norm of their ordinals: extent <= norm at every
-record.
+(all its coefficients plus the largest position digit) and is capped by
+(base+index)^2 along a run.  ``extent`` is the largest finite box
+extent of the lower set.  The staircase emits no box larger than the
+ordering needs, so along a run the lower sets stay within the norm of
+their ordinals: extent <= norm at every record.
 """
 
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 from .lowerset import (
     GeneralLowerSet,
@@ -32,13 +37,9 @@ from .lowerset import (
 )
 from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
-    OMEGA,
-    ONE,
     Ordinal,
     ZERO,
-    add,
     format_ordinal,
-    from_int,
     fundamental,
     general_type,
     is_limit,
@@ -46,246 +47,91 @@ from .ordinal import (
     predecessor,
 )
 
-_EXP_X2 = add(OMEGA, ONE)  # w+1
-_EXP_Y2 = OMEGA
-
 
 def descent_start(dim: int) -> Ordinal:
     """The ordinal the dimension-``dim`` run descends from."""
-    if dim not in (2, 3):
-        raise ValueError("descent runs are built for dimensions 2 and 3")
     return predecessor(general_type(dim))
 
 
-def _strictly_decreasing(xs) -> bool:
-    return all(a > b for a, b in zip(xs, xs[1:]))
-
-
-@dataclass(frozen=True)
-class Shape2:
-    """An ordinal below w^(w+2) split into slab and step data.
-
-    slab_x and slab_y are the coefficients of w^(w+1) and w^w; steps
-    holds (exponent, coefficient) pairs for the finite-exponent terms,
-    exponents strictly decreasing.
-    """
-
-    slab_x: int
-    slab_y: int
-    steps: tuple = ()
-
-    def __post_init__(self):
-        if min(self.slab_x, self.slab_y, 0) < 0:
-            raise ValueError("negative slab coefficient")
-        if any(a < 0 or b < 1 for a, b in self.steps):
-            raise ValueError("bad step term")
-        if not _strictly_decreasing([a for a, _ in self.steps]):
-            raise ValueError("step exponents must decrease strictly")
-
-    @classmethod
-    def from_ordinal(cls, alpha: Ordinal) -> "Shape2":
-        slab_x = slab_y = 0
-        steps = []
-        for e, c in alpha.terms:
-            if e == _EXP_X2:
-                slab_x = c
-            elif e == _EXP_Y2:
-                slab_y = c
-            elif e.is_finite:
-                steps.append((e.as_int(), c))
-            else:
-                raise ValueError(f"{alpha} is not below w^(w+2)")
-        return cls(slab_x, slab_y, tuple(steps))
-
-    def to_ordinal(self) -> Ordinal:
-        terms = []
-        if self.slab_x:
-            terms.append((_EXP_X2, self.slab_x))
-        if self.slab_y:
-            terms.append((_EXP_Y2, self.slab_y))
-        terms.extend((from_int(a), b) for a, b in self.steps)
-        return Ordinal(tuple(terms))
-
-    def norm(self) -> int:
-        top = max((a for a, _ in self.steps), default=0)
-        return self.slab_x + self.slab_y + sum(b for _, b in self.steps) + top
-
-    def rects(self) -> list:
-        """Boxes of the staircase, in construction order.
-
-        A slab with coefficient c is the box of width c, left out when
-        c is 0; step l adds a box whose width is slab_x + l + 2 and
-        whose height is slab_y plus the accumulated coefficients plus
-        2, which keeps every box maximal and makes each descent step
-        shrink the staircase somewhere.  Along a descent run these
-        extents stay at or under the norm.
-        """
-        out = []
-        if self.slab_x:
-            out.append((self.slab_x, UNBOUNDED))
-        if self.slab_y:
-            out.append((UNBOUNDED, self.slab_y))
-        acc = 0
-        for a, b in self.steps:
-            acc += b
-            out.append((self.slab_x + a + 2, self.slab_y + acc + 2))
-        return out
-
-    def lower_set(self) -> GeneralLowerSet:
-        return GeneralLowerSet.make(2, self.rects())
-
-
-def _exp3(s: int, u: int, v: int) -> Ordinal:
-    terms = []
-    if s:
-        terms.append((from_int(2), s))
-    if u:
-        terms.append((from_int(1), u))
-    if v:
-        terms.append((ZERO, v))
-    return Ordinal(tuple(terms))
-
-
-def _split3(e: Ordinal):
-    """Exponent e as (s, u, v) with e = w^2*s + w*u + v, else None."""
-    s = u = v = 0
-    for f, c in e.terms:
-        if not f.is_finite:
-            return None
-        k = f.as_int()
-        if k == 2:
-            s = c
-        elif k == 1:
-            u = c
-        elif k == 0:
-            v = c
-        else:
-            return None
-    return s, u, v
-
-
-@dataclass(frozen=True)
-class Shape3:
-    """An ordinal below w^(w^2+w*3+3) split into slab, face and corner data.
-
-    slabs are the coefficients of w^(w^2+w*3+2), w^(w^2+w*3+1) and
-    w^(w^2+w*3).  Each face family holds (offset, coefficient) pairs:
-    faces_xy for exponents w^2+w*2+offset, faces_xz for w^2+w+offset,
-    faces_yz for w^2+offset, offsets strictly decreasing.  corners
-    holds (h, i, coefficient) triples for exponents w*h+i, the pairs
-    (h, i) strictly decreasing lexicographically.
-    """
-
-    slabs: tuple
-    faces_xy: tuple = ()
-    faces_xz: tuple = ()
-    faces_yz: tuple = ()
-    corners: tuple = ()
-
-    def __post_init__(self):
-        if len(self.slabs) != 3 or min(self.slabs) < 0:
-            raise ValueError("slabs must be three nonnegative coefficients")
-        for fam in (self.faces_xy, self.faces_xz, self.faces_yz):
-            if any(v < 0 or c < 1 for v, c in fam):
-                raise ValueError("bad face term")
-            if not _strictly_decreasing([v for v, _ in fam]):
-                raise ValueError("face offsets must decrease strictly")
-        if any(h < 0 or i < 0 or c < 1 for h, i, c in self.corners):
-            raise ValueError("bad corner term")
-        if not _strictly_decreasing([(h, i) for h, i, _ in self.corners]):
-            raise ValueError("corner positions must decrease lexicographically")
-
-    @classmethod
-    def from_ordinal(cls, alpha: Ordinal) -> "Shape3":
-        slabs = [0, 0, 0]
-        xy, xz, yz, corners = [], [], [], []
-        for e, c in alpha.terms:
-            parts = _split3(e)
-            if parts is None:
-                raise ValueError(f"{alpha} is not below w^(w^2+w*3+3)")
-            s, u, v = parts
-            if s == 1 and u == 3 and v <= 2:
-                slabs[2 - v] = c
-            elif s == 1 and u <= 2:
-                (xy, xz, yz)[2 - u].append((v, c))
-            elif s == 0:
-                corners.append((u, v, c))
-            else:
-                raise ValueError(f"{alpha} is not below w^(w^2+w*3+3)")
-        return cls(tuple(slabs), tuple(xy), tuple(xz), tuple(yz), tuple(corners))
-
-    def to_ordinal(self) -> Ordinal:
-        terms = []
-        for t, a in enumerate(self.slabs):
-            if a:
-                terms.append((_exp3(1, 3, 2 - t), a))
-        for u, fam in ((2, self.faces_xy), (1, self.faces_xz), (0, self.faces_yz)):
-            terms.extend((_exp3(1, u, v), c) for v, c in fam)
-        terms.extend((_exp3(0, h, i), c) for h, i, c in self.corners)
-        return Ordinal(tuple(terms))
-
-    def norm(self) -> int:
-        offsets = [v for fam in (self.faces_xy, self.faces_xz, self.faces_yz)
-                   for v, _ in fam]
-        offsets += [x for h, i, _ in self.corners for x in (h, i)]
-        coeffs = sum(self.slabs)
-        coeffs += sum(c for fam in (self.faces_xy, self.faces_xz, self.faces_yz)
-                      for _, c in fam)
-        coeffs += sum(c for _, _, c in self.corners)
-        return coeffs + max(offsets, default=0)
-
-    def rects(self) -> list:
-        """Boxes in construction order: slabs, then the three face
-        families as staircases on their bounded pair of coordinates,
-        then fully bounded corner boxes pushed past everything else.
-
-        A slab with coefficient c is a box of width c in its
-        coordinate, left out when c is 0.  Faces and corners sit 2
-        past the extents they build on, as the steps of Shape2 do."""
-        a1, a2, a3 = self.slabs
-        out = []
-        if a1:
-            out.append((a1, UNBOUNDED, UNBOUNDED))
-        if a2:
-            out.append((UNBOUNDED, a2, UNBOUNDED))
-        if a3:
-            out.append((UNBOUNDED, UNBOUNDED, a3))
-        acc = 0
-        for v, c in self.faces_xy:
-            acc += c
-            out.append((a1 + v + 2, a2 + acc + 2, UNBOUNDED))
-        acc = 0
-        for v, c in self.faces_xz:
-            acc += c
-            out.append((a1 + v + 2, UNBOUNDED, a3 + acc + 2))
-        acc = 0
-        for v, c in self.faces_yz:
-            acc += c
-            out.append((UNBOUNDED, a2 + v + 2, a3 + acc + 2))
-        # corner boxes are offset by the largest finite extent of the
-        # boxes above in each direction, so none is ever swallowed
-        reach = [max((r[t] for r in out if r[t] != UNBOUNDED), default=0)
-                 for t in range(3)]
-        acc = 0
-        for h, i, c in self.corners:
-            acc += c
-            out.append((reach[0] + h + 2, reach[1] + i + 2, reach[2] + acc + 2))
-        return out
-
-    def lower_set(self) -> GeneralLowerSet:
-        return GeneralLowerSet.make(3, self.rects())
+@lru_cache(maxsize=1024)
+def _subset(dim: int, j: int, rank: int) -> tuple:
+    """The j-subset of range(dim) at ``rank`` in lexicographic order."""
+    out, x = [], 0
+    for left in range(j, 0, -1):
+        while rank >= (n := comb(dim - x - 1, left - 1)):
+            rank -= n
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 def shape_from_ordinal(alpha: Ordinal, dim: int):
-    if dim == 2:
-        return Shape2.from_ordinal(alpha)
-    if dim == 3:
-        return Shape3.from_ordinal(alpha)
-    raise ValueError("staircase shapes exist for dimensions 2 and 3")
+    """The staircase of ``alpha`` below descent_start(dim): its boxes
+    in construction order, and its norm.
+
+    Each term w^e*c gives one box.  Write e = w^(dim-1)*d_(dim-1) + ...
+    + d_0 and read the digits from the top, level j = dim down to 1:
+    the digit d_(j-1) equals C(dim,j) to pass on to level j-1, or is
+    below it to pick the j-subset S of lexicographic rank
+    C(dim,j)-1-d_(j-1); d_(j-2), ..., d_0 are then the position p.  The
+    box is unbounded off S.  At level 1 its one bounded coordinate is
+    c.  At level j >= 2 the first j-1 coordinates t of S get
+    reach_t + p_t + 2 and the last gets reach + (the coefficients so far
+    in S's block) + 2, where reach_t is the largest finite extent in
+    coordinate t among the boxes of lower levels, 0 if none.  Lower
+    levels have larger exponents, so they come first.
+
+    The norm is the sum of the coefficients plus the largest position
+    digit.  Raises ValueError when alpha is not below descent_start(dim).
+    """
+    rects = []
+    seen = [0] * dim  # largest finite extent a coordinate, every box so far
+    reach: list = []  # the same over the boxes of lower levels, set per level
+    level = 0
+    block = None
+    acc = total = top = 0
+    for e, c in alpha.terms:
+        digits = [0] * dim
+        for f, d in e.terms:
+            k = f.terms
+            if not k:
+                digits[0] = d
+            elif len(k) == 1 and not k[0][0].terms and k[0][1] < dim:
+                digits[k[0][1]] = d
+            else:
+                raise ValueError(f"{alpha} is not below {descent_start(dim)}")
+        j = dim
+        while (d := digits[j - 1]) >= (size := comb(dim, j)):
+            if d > size or j == 1:
+                raise ValueError(f"{alpha} is not below {descent_start(dim)}")
+            j -= 1
+        if j != level:
+            level, reach = j, seen[:]
+        s = _subset(dim, j, size - 1 - d)
+        if s != block:
+            block, acc = s, 0
+        acc += c
+        total += c
+        box = [UNBOUNDED] * dim
+        if j == 1:
+            box[s[0]] = c
+        else:
+            for t, p in zip(s, digits[j - 2::-1]):  # p runs d_(j-2) .. d_0
+                if p > top:
+                    top = p
+                box[t] = reach[t] + p + 2
+            t = s[-1]
+            box[t] = reach[t] + acc + 2
+        for t in s:
+            if box[t] > seen[t]:
+                seen[t] = box[t]
+        rects.append(tuple(box))
+    return rects, total + top
 
 
 def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
-    return shape_from_ordinal(alpha, dim).lower_set()
+    return GeneralLowerSet.make(dim, shape_from_ordinal(alpha, dim)[0])
 
 
 class _IdealFold:
@@ -344,15 +190,14 @@ def _step(alpha: Ordinal, x: int) -> Ordinal:
 def _derive(dim: int, base: int, index: int, alpha: Ordinal,
             fold: _IdealFold) -> BadSequenceRecord:
     """The record a run stores for ``alpha`` at ``index``."""
-    shape = shape_from_ordinal(alpha, dim)
-    rects = shape.rects()
+    rects, norm = shape_from_ordinal(alpha, dim)
     lset = GeneralLowerSet.make(dim, rects)
     ideal = fold.ideal(rects)
     return BadSequenceRecord(
         index=index,
         alpha=alpha,
         lower_set=lset,
-        norm=shape.norm(),
+        norm=norm,
         extent=lset.max_finite_extent,
         ideal=ideal,
         degree=ideal.degree(),
@@ -366,7 +211,7 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
     every ordinal reached.  Step i uses argument base+i-1."""
     if base < 1 or limit < 0:
         raise ValueError("base must be >= 1 and limit >= 0")
-    alpha = descent_start(dim)
+    start = alpha = descent_start(dim)
     fold = _IdealFold(dim)
     records = []
     for i in range(1, limit + 1):
@@ -374,7 +219,7 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
         records.append(_derive(dim, base, i, alpha, fold))
         if alpha == ZERO:
             break
-    return DescentRun(dim, base, descent_start(dim), tuple(records))
+    return DescentRun(dim, base, start, tuple(records))
 
 
 def symbolic_length_bound(dim: int, base: int) -> str:
@@ -435,8 +280,10 @@ def audit_run(run: DescentRun) -> list:
     """
     problems = []
     alpha = run.start
-    if run.dim not in (2, 3):
-        return [f"unsupported dimension {run.dim}"]
+    # descent_start(dim) is w^E with E of exactly dim >= 1 terms; checking
+    # that first keeps a huge declared dim from being built at all
+    if len(alpha.terms) != 1 or len(alpha.terms[0][0].terms) != run.dim or run.dim < 1:
+        return [f"run starts at {alpha}, which no dimension-{run.dim} run does"]
     if alpha != descent_start(run.dim):
         problems.append(f"run starts at {alpha}, expected {descent_start(run.dim)}")
     fold = _IdealFold(run.dim)

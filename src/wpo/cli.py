@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("badseq", help="generate a bad-sequence record file")
-    p.add_argument("-m", type=int, choices=(2, 3), required=True)
+    p.add_argument("-m", type=int, required=True)
     p.add_argument("-K", dest="base", type=int, default=2)
     p.add_argument("-n", dest="count", type=int, required=True)
     p.add_argument("-o", dest="out", default=None)

@@ -183,6 +183,8 @@ def inclusion_masks(sets) -> list:
     for s in sets:
         _check_dim(sets[0], s)
     boxes = sorted({r for s in sets for r in s.rects})
+    if not boxes:
+        return [0] * len(sets)
     bound = 1 + max(s._maxfin for s in sets)
     full = (1 << len(boxes)) - 1
     prefix = []
@@ -430,9 +432,11 @@ def enumerate_fls(box):
     FiniteLowerSets, by depth-first order-ideal search.
 
     Walks the grid points in lexicographic (linear-extension) order;
-    a point may be present only when all its immediate predecessors are.
-    Raises ValueError on a volume above ENUMERATION_GUARD, and once more
-    than MAX_LOWER_SETS sets have turned up.
+    a point may be present only when all its immediate predecessors are,
+    so leaving a point out ends its row (the points differing from it in
+    the last coordinate only).  Raises ValueError on a volume above
+    ENUMERATION_GUARD, and once more than MAX_LOWER_SETS sets have
+    turned up.
     """
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
@@ -441,6 +445,7 @@ def enumerate_fls(box):
     if size > ENUMERATION_GUARD:
         raise ValueError(f"box volume {size} exceeds guard {ENUMERATION_GUARD}")
     dim = len(box)
+    row = box[-1]
     points = sorted(product(*[range(e) for e in box]))
 
     preds = [
@@ -449,26 +454,38 @@ def enumerate_fls(box):
     ]
 
     chosen: set = set()
+    # the maximal chosen points, and how many chosen points cover each
+    covers = dict.fromkeys(points, 0)
+    tops: set = set()
     found = 0
     # explicit stack, deepest action last: ("visit", k) decides point k
-    # with it left out first; ("add", k) and ("drop", k) bracket the
-    # branch that takes it.
+    # with it left out first, which ends its row; ("add", k) and
+    # ("drop", k) bracket the branch that takes it.
     stack = [("visit", 0)]
     while stack:
         action, k = stack.pop()
         if action == "add":
             chosen.add(points[k])
+            tops.add(points[k])
+            for q in preds[k]:
+                covers[q] += 1
+                tops.discard(q)
         elif action == "drop":
             chosen.remove(points[k])
+            tops.remove(points[k])
+            for q in preds[k]:
+                covers[q] -= 1
+                if not covers[q]:
+                    tops.add(q)
         elif k == len(points):
             found += 1
             if found > MAX_LOWER_SETS:
                 raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
-            yield closure(list(chosen), dim)
+            yield closure(list(tops), dim)
         else:
             if all(q in chosen for q in preds[k]):
                 stack += [("drop", k), ("visit", k + 1), ("add", k)]
-            stack.append(("visit", k + 1))
+            stack.append(("visit", (k // row + 1) * row))
 
 
 def enumerate_gls(dim: int, extents, max_rects: int):

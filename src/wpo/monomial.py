@@ -77,19 +77,6 @@ def zero_ideal(dim: int) -> MonomialIdeal:
     return MonomialIdeal(dim, ())
 
 
-def intersect_all(ideals, dim: int) -> MonomialIdeal:
-    out = unit_ideal(dim)
-    for i in ideals:
-        out = out.intersect(i)
-    return out
-
-
-def rect_complement_ideal(rect, dim: int) -> MonomialIdeal:
-    """Ideal of monomials outside one box: x_t >= extent for some finite
-    coordinate t.  A box unbounded everywhere leaves nothing outside."""
-    return MonomialIdeal(dim, tuple(complement_points([rect], dim)))
-
-
 def complement_ideal(s: GeneralLowerSet) -> MonomialIdeal:
     """The ideal whose monomials are exactly the points outside s."""
     return MonomialIdeal(s.dim, tuple(complement_points(s.rects, s.dim)))

@@ -1,12 +1,14 @@
 """Shared generators and pointwise oracles for the test suite.
 
 Random ordinals stay below w^(w^3): top-level exponents are CNF
-combinations of the finite exponents 0..2.  Everything is driven by an
+combinations of the finite exponents 0..2.  Random staircase ordinals
+stay below the dimension's descent start, drawn block by block.  Everything is driven by an
 explicit random.Random so failures reproduce exactly.
 """
 
 import random
 from functools import cmp_to_key
+from math import comb
 
 from wpo.ordinal import OMEGA, Ordinal, ZERO, compare, from_int
 
@@ -39,3 +41,23 @@ def rand_limit(rng: random.Random) -> Ordinal:
 
 def rand_point(rng: random.Random, dim: int, top: int = 6) -> tuple:
     return tuple(rng.randint(0, top) for _ in range(dim))
+
+
+def rand_staircase_ordinal(rng: random.Random, dim: int, max_terms: int = 4,
+                           max_pos: int = 6, max_coeff: int = 4) -> Ordinal:
+    """An ordinal below the dimension-``dim`` descent start: each term
+    picks a level j, a j-subset digit below C(dim, j) behind the digits
+    that pass the higher levels, and a position of j-1 digits."""
+    digits = set()
+    for _ in range(rng.randint(0, max_terms)):
+        j = rng.randint(1, dim)
+        passed = [comb(dim, i) for i in range(dim, j, -1)]
+        pos = [rng.randint(0, max_pos) for _ in range(j - 1)]
+        digits.add(tuple(passed + [rng.randrange(comb(dim, j))] + pos))
+    # digit tuples run from w^(dim-1) down, so their order is the
+    # order of the exponents
+    terms = []
+    for ds in sorted(digits, reverse=True):
+        exp = Ordinal(tuple((from_int(dim - 1 - i), d) for i, d in enumerate(ds) if d))
+        terms.append((exp, rng.randint(1, max_coeff)))
+    return Ordinal(tuple(terms))

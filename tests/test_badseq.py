@@ -1,20 +1,21 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
+from support import rand_staircase_ordinal
 from wpo import badseq
 from wpo.badseq import (
     BadSequenceRecord,
     BadnessReport,
     DescentRun,
-    Shape2,
-    Shape3,
     audit_run,
     descent_start,
     generate,
     lower_set_of,
     read_run,
+    run_lines,
     shape_from_ordinal,
     symbolic_length_bound,
     verify_bad,
@@ -29,7 +30,7 @@ from wpo.lowerset import (
 )
 from wpo.monomial import unit_ideal
 from wpo.oracles import brute_includes, rand_gls
-from wpo.ordinal import ZERO, compare, format_ordinal, parse_ordinal
+from wpo.ordinal import ZERO, compare, format_ordinal, fundamental, parse_ordinal
 
 W = UNBOUNDED
 
@@ -62,31 +63,6 @@ def includes_scan(sets, included=None):
     return BadnessReport(len(sets), pairs, None)
 
 
-def rand_shape2(rng):
-    exps = sorted(rng.sample(range(9), rng.randint(0, 3)), reverse=True)
-    return Shape2(
-        rng.randint(0, 3),
-        rng.randint(0, 3),
-        tuple((a, rng.randint(1, 4)) for a in exps),
-    )
-
-
-def rand_shape3(rng):
-    def fam():
-        offs = sorted(rng.sample(range(7), rng.randint(0, 2)), reverse=True)
-        return tuple((v, rng.randint(1, 3)) for v in offs)
-
-    hs = sorted(
-        rng.sample([(h, i) for h in range(5) for i in range(5)], rng.randint(0, 3)),
-        reverse=True,
-    )
-    return Shape3(
-        tuple(rng.randint(0, 3) for _ in range(3)),
-        fam(), fam(), fam(),
-        tuple((h, i, rng.randint(1, 3)) for h, i in hs),
-    )
-
-
 # first records of the dimension-2 base-2 run, derived by hand
 FROZEN_RUN2 = [
     (1, "w^(w+1)*2", "[2,w]", 2, 2, 9),
@@ -101,93 +77,120 @@ FROZEN_RUN2 = [
 
 
 class TestShape2:
+    """The staircase of dimension 2: slabs w^(w+1)*c and w^w*c, then
+    steps w^a*c."""
+
     def test_pinned_staircase(self):
-        sh = Shape2(1, 1, ((2, 3),))
-        assert format_gls(sh.lower_set()) == "[1,w]u[5,6]u[w,1]"
-        assert sh.norm() == 7
-        assert sh.lower_set().max_finite_extent == 6
-        assert format_ordinal(sh.to_ordinal()) == "w^(w+1)+w^w+w^2*3"
+        alpha = o("w^(w+1)+w^w+w^2*3")
+        rects, norm = shape_from_ordinal(alpha, 2)
+        assert format_gls(lower_set_of(alpha, 2)) == "[1,w]u[5,6]u[w,1]"
+        assert norm == 7
+        assert lower_set_of(alpha, 2).max_finite_extent == 6
+        assert rects == [(1, W), (W, 1), (5, 6)]
 
     def test_zero_shape(self):
-        sh = Shape2(0, 0)
-        assert sh.to_ordinal() == ZERO
-        assert sh.norm() == 0
-        assert format_gls(sh.lower_set()) == "empty"
-
-    def test_ordinal_round_trip(self):
-        rng = random.Random(67)
-        for _ in range(300):
-            sh = rand_shape2(rng)
-            assert Shape2.from_ordinal(sh.to_ordinal()) == sh
+        assert shape_from_ordinal(ZERO, 2) == ([], 0)
+        assert format_gls(lower_set_of(ZERO, 2)) == "empty"
 
     def test_rejects_outside_fragment(self):
         for bad in ["w^(w+2)", "w^(w*2)", "w^(w^2)", "w^(w+1)+w^(w*9)"]:
             with pytest.raises(ValueError):
-                Shape2.from_ordinal(o(bad))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Shape2(-1, 0)
-        with pytest.raises(ValueError):
-            Shape2(0, 0, ((2, 0),))
-        with pytest.raises(ValueError):
-            Shape2(0, 0, ((2, 1), (2, 1)))
-        with pytest.raises(ValueError):
-            Shape2(0, 0, ((1, 1), (2, 1)))
+                shape_from_ordinal(o(bad), 2)
 
     def test_all_boxes_survive_canonicalization(self):
         rng = random.Random(71)
         for _ in range(200):
-            sh = rand_shape2(rng)
-            assert len(sh.lower_set().rects) == len(sh.rects())
+            rects, _ = shape_from_ordinal(rand_staircase_ordinal(rng, 2), 2)
+            assert len(GeneralLowerSet.make(2, rects).rects) == len(rects)
 
 
 class TestShape3:
-    def test_slab_only(self):
-        sh = Shape3((2, 0, 0))
-        assert format_gls(sh.lower_set()) == "[2,w,w]"
-        assert sh.norm() == 2
+    """The staircase of dimension 3: slabs, the faces of the three
+    coordinate pairs, then corners bounded in all three."""
 
-    def test_ordinal_round_trip(self):
-        rng = random.Random(73)
-        for _ in range(300):
-            sh = rand_shape3(rng)
-            assert Shape3.from_ordinal(sh.to_ordinal()) == sh
+    def test_slab_only(self):
+        alpha = o("w^(w^2+w*3+2)*2")
+        assert format_gls(lower_set_of(alpha, 3)) == "[2,w,w]"
+        assert shape_from_ordinal(alpha, 3)[1] == 2
 
     def test_rejects_outside_fragment(self):
         for bad in ["w^(w^2+w*3+3)", "w^(w^2*2)", "w^(w^3)", "w^(w^2+w*4)"]:
             with pytest.raises(ValueError):
-                Shape3.from_ordinal(o(bad))
+                shape_from_ordinal(o(bad), 3)
 
     def test_corner_boxes_cleared_past_faces(self):
-        sh = Shape3((1, 0, 2), faces_xy=((3, 2),), corners=((0, 0, 1),))
-        rects = sh.rects()
+        # slab x of 1, slab z of 2, face xy at offset 3 with coefficient
+        # 2, and one corner at position (0, 0)
+        alpha = o("w^(w^2+w*3+2)+w^(w^2+w*3)*2+w^(w^2+w*2+3)*2+1")
+        rects, _ = shape_from_ordinal(alpha, 3)
         # the empty y-slab is left out; faces reach x=6, y=4 and the
         # z-slab z=2, so the corner box must start beyond all three
         assert rects[:2] == [(1, W, W), (W, W, 2)]
         assert rects[2] == (6, 4, W)
         assert rects[3] == (6 + 2, 4 + 2, 2 + 1 + 2)
-        assert len(sh.lower_set().rects) == len(rects)
+        assert len(lower_set_of(alpha, 3).rects) == len(rects)
 
     def test_all_boxes_survive_canonicalization(self):
         rng = random.Random(79)
         for _ in range(200):
-            sh = rand_shape3(rng)
-            assert len(sh.lower_set().rects) == len(sh.rects())
+            rects, _ = shape_from_ordinal(rand_staircase_ordinal(rng, 3), 3)
+            assert len(GeneralLowerSet.make(3, rects).rects) == len(rects)
 
     def test_shape_from_ordinal_dispatch(self):
-        assert isinstance(shape_from_ordinal(o("w^w"), 2), Shape2)
-        assert isinstance(shape_from_ordinal(o("w^(w^2)"), 3), Shape3)
+        assert shape_from_ordinal(o("w^w"), 2) == ([(W, 1)], 1)
+        assert shape_from_ordinal(o("w^(w^2)"), 3) == ([(W, 2, 3)], 1)
+        assert shape_from_ordinal(o("w"), 4) == ([(2, 2, 3, 3)], 2)
         with pytest.raises(ValueError):
-            shape_from_ordinal(o("w"), 4)
+            shape_from_ordinal(o("w^(w^4)"), 4)
+
+
+class TestStaircase:
+    """The rule in any dimension."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_descent_start_is_the_first_ordinal_left_out(self, dim):
+        with pytest.raises(ValueError, match="is not below"):
+            shape_from_ordinal(descent_start(dim), dim)
+        rects, _ = shape_from_ordinal(fundamental(descent_start(dim), 3), dim)
+        assert rects == [(3,) + (W,) * (dim - 1)]
+
+    def test_one_dimension(self):
+        assert shape_from_ordinal(o("5"), 1) == ([(5,)], 5)
+        for bad in ["w", "w^2", "w+1"]:
+            with pytest.raises(ValueError):
+                shape_from_ordinal(o(bad), 1)
+
+    def test_blocks_in_four_dimensions(self):
+        # one term of each level: a slab in coordinate 1, the face of
+        # coordinates (2, 3) at offset 4, the 3-block (0, 1, 3) at
+        # position (1, 2), and the corner at position (0, 1, 0)
+        alpha = o("w^(w^3+w^2*4+w*6+2)*3+w^(w^3+w^2*4+4)*2"
+                  "+w^(w^3+w^2*2+w+2)+w^w*5")
+        rects, norm = shape_from_ordinal(alpha, 4)
+        assert rects == [
+            (W, 3, W, W),
+            (W, W, 0 + 4 + 2, 0 + 2 + 2),
+            (0 + 1 + 2, 3 + 2 + 2, W, 4 + 1 + 2),
+            (3 + 0 + 2, 7 + 1 + 2, 6 + 0 + 2, 7 + 5 + 2),
+        ]
+        assert norm == 3 + 2 + 1 + 5 + 4
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_all_boxes_survive_canonicalization(self, dim):
+        rng = random.Random(400 + dim)
+        for _ in range(150):
+            rects, _ = shape_from_ordinal(rand_staircase_ordinal(rng, dim), dim)
+            assert len(GeneralLowerSet.make(dim, rects).rects) == len(rects)
 
 
 class TestGenerate:
     def test_start_ordinals(self):
         assert format_ordinal(descent_start(2)) == "w^(w+2)"
         assert format_ordinal(descent_start(3)) == "w^(w^2+w*3+3)"
+        assert format_ordinal(descent_start(1)) == "w"
+        assert format_ordinal(descent_start(4)) == "w^(w^3+w^2*4+w*6+4)"
         with pytest.raises(ValueError):
-            descent_start(1)
+            descent_start(0)
 
     def test_frozen_prefix(self):
         run = generate(2, 2, 8)
@@ -234,6 +237,39 @@ class TestGenerate:
             assert rec.degree <= (base + i) ** 2, rec.index
         assert verify_bad(run).ok
 
+    @pytest.mark.parametrize("dim,n,base,digest", [
+        (2, 300, 1, "b342b85bcd6762b20beed27740aeadb58f06d4f93d89cc7eaa863aeb3134e966"),
+        (2, 300, 2, "42e783af15b218aaee431567d9194ad9ae4930533e97cbd899096cf38302728f"),
+        (2, 300, 3, "92b41604220a43529754d40e355d18b82bd2caad03f67745595fa4ea5c0e06ef"),
+        (3, 120, 1, "3d0cc97b5c71a4cb83849e24359dddf73cae42255bce2ee181565ca94910c1ec"),
+        (3, 120, 2, "ea7c88dceed722b3b2a1e981e474f7d2470ecb57ea2262061e4fa33703ffa824"),
+        (3, 120, 3, "cc5912fdd0d79df8fbe7a30a64890e6f5a278ef992ec750b47c4780214859f2c"),
+    ])
+    def test_pinned_record_files(self, dim, n, base, digest):
+        # sha256 of the `wpo badseq -m dim -K base -n n` output, taken
+        # from the dimension-2 and -3 shapes the staircase rule replaced
+        text = "\n".join(run_lines(generate(dim, base, n))) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("base", range(1, 6))
+    def test_one_dimension_counts_down(self, base):
+        run = generate(1, base, 50)
+        assert [format_ordinal(r.alpha) for r in run.records] == \
+            [str(k) for k in range(base, -1, -1)]
+        assert [format_gls(r.lower_set) for r in run.records][-2:] == ["[1]", "empty"]
+        assert verify_bad(run).ok
+        assert audit_run(run) == []
+
+    @pytest.mark.parametrize("base", [1, 2, 3])
+    def test_four_dimensions(self, base):
+        n = 60
+        run = generate(4, base, n)
+        assert len(run.records) == n
+        for i, rec in enumerate(run.records, start=1):
+            assert rec.extent <= rec.norm <= (base + i) ** 2, rec.index
+        assert verify_bad(run).ok
+        assert audit_run(run) == []
+
     def test_audit_clean(self):
         assert audit_run(generate(2, 2, 60)) == []
         assert audit_run(generate(3, 2, 30)) == []
@@ -251,7 +287,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(2, 0, 5)
         with pytest.raises(ValueError):
-            generate(4, 2, 5)
+            generate(0, 2, 5)
         assert generate(2, 2, 0).records == ()
 
 
@@ -327,14 +363,14 @@ class TestVerifyBad:
         descent neighbors: alpha' < alpha means D(alpha) never fits
         inside D(alpha')."""
         rng = random.Random(89)
-        for dim, mk in ((2, rand_shape2), (3, rand_shape3)):
+        for dim in (1, 2, 3, 4):
             for _ in range(500):
-                s, t = mk(rng), mk(rng)
-                c = compare(s.to_ordinal(), t.to_ordinal())
+                s, t = rand_staircase_ordinal(rng, dim), rand_staircase_ordinal(rng, dim)
+                c = compare(s, t)
                 if c == 0:
                     continue
                 big, small = (s, t) if c == 1 else (t, s)
-                assert not small.lower_set().includes(big.lower_set())
+                assert not lower_set_of(small, dim).includes(lower_set_of(big, dim))
 
 
 class TestAudit:

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from wpo import badseq
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import main
 from wpo.ordinal import MAX_NESTING
@@ -208,6 +210,39 @@ class TestBadseqVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         assert err == "error: line 8: bad exponent vector (3,) for dimension 2\n"
+
+
+    @pytest.mark.parametrize("m", ["1", "4"])
+    def test_new_dimensions_verify(self, capsys, tmp_path, m):
+        path = str(tmp_path / "run.rec")
+        assert run_cli(capsys, "badseq", "-m", m, "-K", "2", "-n", "10", "-o", path)[0] == 0
+        code, out, _ = run_cli(capsys, "verify", path)
+        assert code == 0
+        assert "audit problems: 0" in out and "violation: none" in out
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_dimension_below_one_rejected(self, capsys, m):
+        code, out, err = run_cli(capsys, "badseq", "-m", m, "-n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("records", [[], ["1|0|empty|0|0|0|0|9", "2|0|empty|0|0|0|0|16"]])
+    def test_huge_dimension_fails_fast(self, capsys, tmp_path, monkeypatch, records):
+        # a start of the wrong form is reported without building the
+        # start of a 10**9-dimensional run
+        def refuse(dim):
+            raise AssertionError(f"built descent_start({dim})")
+
+        monkeypatch.setattr(badseq, "descent_start", refuse)
+        path = tmp_path / "huge.rec"
+        head = ["# descent run", "# dim: 1000000000", "# base: 2",
+                "# start: w^(w+2)", f"# records: {len(records)}"]
+        path.write_text("\n".join(head + records) + "\n")
+        began = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert time.perf_counter() - began < 5
+        assert code == 1
+        assert "  run starts at w^(w+2), which no dimension-1000000000 run does" in out
 
 
 class TestOracleCommand:

@@ -379,6 +379,34 @@ class TestEnumeration:
             seen.add(pts)
         assert len(seen) == 10
 
+    def test_yield_order_matches_brute_force(self):
+        """Every box of volume <= 12 in up to four dimensions: the sets
+        come out in the order of their membership vectors over the
+        lexicographically sorted points, left out before taken."""
+
+        def boxes(dim, volume):
+            if dim == 0:
+                yield ()
+                return
+            for e in range(1, volume + 1):
+                for rest in boxes(dim - 1, volume // e):
+                    yield (e,) + rest
+
+        def reference(box):
+            points = sorted(product(*[range(e) for e in box]))
+            for bits in product((False, True), repeat=len(points)):
+                taken = {p for p, b in zip(points, bits) if b}
+                if all(p[:i] + (p[i] - 1,) + p[i + 1:] in taken
+                       for p in taken for i in range(len(p)) if p[i]):
+                    yield closure(list(taken), len(box))
+
+        tried = 0
+        for dim in (1, 2, 3, 4):
+            for box in boxes(dim, 12):
+                assert list(enumerate_fls(box)) == list(reference(box)), box
+                tried += 1
+        assert tried == 254
+
     def test_set_cap(self):
         # 3x3x4 holds 4116 lower sets, 8x8 holds 12,870
         assert lowerset.MAX_LOWER_SETS == 5000

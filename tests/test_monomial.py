@@ -3,21 +3,20 @@ from itertools import product
 
 import pytest
 
-from wpo.badseq import Shape2
+from wpo.badseq import lower_set_of, shape_from_ordinal
 from wpo.lowerset import GeneralLowerSet, UNBOUNDED, full_space
 from wpo.monomial import (
     MonomialIdeal,
     complement_ideal,
     complement_lowerset,
     format_ideal,
-    intersect_all,
     parse_ideal,
     pretty_ideal,
-    rect_complement_ideal,
     unit_ideal,
     zero_ideal,
 )
 from wpo.oracles import brute_equal, rand_gls
+from wpo.ordinal import Ordinal, from_int, parse_ordinal as o
 
 W = UNBOUNDED
 
@@ -76,11 +75,6 @@ class TestMembershipInclusion:
             for p in product(range(7), repeat=dim):
                 assert k.member(p) == (i.member(p) and j.member(p))
 
-    def test_intersect_all(self):
-        ideals = [MonomialIdeal.make(1, [(a,)]) for a in (2, 5, 3)]
-        assert intersect_all(ideals, 1).gens == ((5,),)
-        assert intersect_all([], 2).is_unit
-
 
 class TestDegree:
     def test_pinned(self):
@@ -91,11 +85,6 @@ class TestDegree:
 
 
 class TestComplement:
-    def test_rect_ideal(self):
-        assert rect_complement_ideal((3, W), 2).gens == ((3, 0),)
-        assert rect_complement_ideal((W, W), 2).is_zero
-        assert rect_complement_ideal((2, 3), 2).gens == ((0, 3), (2, 0))
-
     def test_pinned_staircase(self):
         d = GeneralLowerSet.make(2, [(2, W), (W, 2), (6, 7)])
         ci = complement_ideal(d)
@@ -135,14 +124,15 @@ class TestComplement:
         for _ in range(100):
             p, q = rng.randint(0, 4), rng.randint(0, 4)
             exps = sorted(rng.sample(range(8), rng.randint(0, 3)), reverse=True)
-            steps = tuple((a, rng.randint(1, 4)) for a in exps)
-            shape = Shape2(p, q, steps)
-            rects = shape.rects()
+            terms = [(e, c) for e, c in ((o("w+1"), p), (o("w"), q)) if c]
+            terms += [(from_int(a), rng.randint(1, 4)) for a in exps]
+            alpha = Ordinal(tuple(terms))
+            rects, _ = shape_from_ordinal(alpha, 2)
             stair = sorted((r for r in rects if W not in r), reverse=True)
             xs = [r[0] for r in stair] + [p]
             ys = [q] + [r[1] for r in stair]
             want = MonomialIdeal.make(2, list(zip(xs, ys)))
-            assert complement_ideal(shape.lower_set()) == want
+            assert complement_ideal(lower_set_of(alpha, 2)) == want
 
 
 class TestTextForm:
