@@ -1,11 +1,11 @@
 """Order theory of lower sets of N^m, with a verifiable ordinal toolkit.
 
 The pieces: exact ordinal arithmetic in Cantor normal form below
-epsilon_0 (ordinal), lower sets as antichains or box unions
-(lowerset), monomial ideals as their complements (monomial), ordinal
-ranking of finite lower sets (linearize), long bad sequences driven by
-fundamental-sequence descent (badseq), and brute-force cross-checks
-for all of it (oracles).
+epsilon_0 (ordinal), lower sets as box unions, a finite one also as
+the closure of its generators (lowerset), monomial ideals as their
+complements (monomial), ordinal ranking of finite lower sets
+(linearize), long bad sequences driven by fundamental-sequence descent
+(badseq), and brute-force cross-checks for all of it (oracles).
 """
 
 from .ordinal import (
@@ -37,7 +37,6 @@ from .ordinal import (
 )
 from .lowerset import (
     UNBOUNDED,
-    FiniteLowerSet,
     GeneralLowerSet,
     PartialSpecification,
     UnboundedError,
@@ -49,6 +48,7 @@ from .lowerset import (
     format_fls,
     format_gls,
     from_finite,
+    generators,
     full_space,
     full_specification,
     intersection_image,

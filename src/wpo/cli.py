@@ -11,7 +11,7 @@ import sys
 from . import badseq as bs
 from . import oracles
 from .linearize import check_monotone, ordinal_rank
-from .lowerset import parse_fls, parse_gls
+from .lowerset import format_fls, parse_fls, parse_gls
 from .monomial import complement_ideal, complement_lowerset, format_ideal, parse_ideal, pretty_ideal
 from .ordinal import bounded_type, descend, format_ordinal, general_type, hardy, parse_ordinal
 
@@ -102,6 +102,8 @@ def _parse_box(text: str) -> tuple:
 
 
 def cmd_oracle(args) -> int:
+    if min(args.pairs, args.samples, args.max_rects) < 0:
+        raise ValueError("--pairs, --samples and --max-rects must be at least 0")
     if args.suite == "monotone":
         rep = check_monotone(_parse_box(args.box))
         print(
@@ -109,7 +111,8 @@ def cmd_oracle(args) -> int:
             f"{rep.pairs_checked} pairs, {len(rep.violations)} violations"
         )
         for s, t, rs, rt in rep.violations[:10]:
-            print(f"  {s} <= {t} but {format_ordinal(rs)} > {format_ordinal(rt)}")
+            print(f"  {format_fls(s)} <= {format_fls(t)} "
+                  f"but {format_ordinal(rs)} > {format_ordinal(rt)}")
         return 0 if rep.ok else 1
     if args.suite == "phi":
         rep = oracles.run_phi(dim=args.m, max_extent=args.max_extent,

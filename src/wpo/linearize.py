@@ -1,17 +1,18 @@
-"""Ranking finite lower sets by an ordinal.
+"""Ranking finite (bounded) lower sets by an ordinal.
 
-Each generator (v_1,...,v_m) of a finite lower set contributes
-w^(position of (v_1,...,v_{m-1}) in the lexicographic well-order of
-N^(m-1)) times v_m; the rank is the natural sum of the contributions
-plus one, and the empty set ranks 0.  The map is monotone for
-inclusion but deliberately not injective, which check_monotone
-witnesses by exhausting every pair inside a finite grid.
+Each generator (v_1,...,v_m) of a finite lower set (a maximal point,
+``lowerset.generators``) contributes w^(position of (v_1,...,v_{m-1})
+in the lexicographic well-order of N^(m-1)) times v_m; the rank is
+the natural sum of the contributions plus one, and the empty set ranks
+0.  The map is monotone for inclusion but deliberately not injective,
+which check_monotone witnesses by exhausting every pair inside a
+finite grid.
 """
 
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .lowerset import FiniteLowerSet, enumerate_fls, from_finite, inclusion_masks
+from .lowerset import GeneralLowerSet, enumerate_fls, generators, inclusion_masks
 from .ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum
 
 
@@ -27,19 +28,21 @@ def lex_ordinal(vec) -> Ordinal:
 
 @dataclass(frozen=True)
 class RankAssignment:
-    lower_set: FiniteLowerSet
+    lower_set: GeneralLowerSet
     value: Ordinal
     contributions: tuple  # (generator, ordinal term) pairs, zero terms dropped
 
 
-def ordinal_rank(f: FiniteLowerSet) -> RankAssignment:
+def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
+    """The rank of a bounded set; UnboundedError on a w extent."""
     if f.dim == 0:
         raise ValueError("ranking needs at least one coordinate")
-    if not f.generators:
+    gens = generators(f)
+    if not gens:
         return RankAssignment(f, ZERO, ())
     total = ZERO
     contribs = []
-    for g in f.generators:
+    for g in gens:
         if g[-1] == 0:
             continue
         term = Ordinal(((lex_ordinal(g[:-1]), g[-1]),))
@@ -70,7 +73,7 @@ def check_monotone(box) -> MonotoneReport:
     """
     box = tuple(box)
     sets = list(enumerate_fls(box))
-    masks = inclusion_masks(from_finite(f) for f in sets)
+    masks = inclusion_masks(sets)
     ranks = [ordinal_rank(f).value for f in sets]
     # each rank's place in the sorted distinct ranks: one int comparison per pair
     order = {r: k for k, r in enumerate(sorted(set(ranks), key=cmp_to_key(compare)))}

@@ -1,16 +1,16 @@
 """Lower (downward closed) sets of N^m.
 
-Two representations:
+A lower set is a GeneralLowerSet: a finite union of half-open boxes,
+each given by per-coordinate extents from N union {w}; a point p lies
+in a box when p[i] < extent[i] for every i.  The canonical form keeps
+exactly the maximal boxes, sorted.  (A box inside a union of downward
+closed boxes is inside a single one -- substitute a fresh bound for its
+unbounded coordinates and look at the saturated corner -- so
+irredundancy reduces to pairwise extent domination.)
 
-* FiniteLowerSet -- the downward closure of finitely many points,
-  stored as the antichain of its maximal points.
-* GeneralLowerSet -- a finite union of half-open boxes, each given by
-  per-coordinate extents from N union {w}; a point p lies in a box when
-  p[i] < extent[i] for every i.  The canonical form keeps exactly the
-  maximal boxes, sorted.  (A box inside a union of downward closed
-  boxes is inside a single one -- substitute a fresh bound for its
-  unbounded coordinates and look at the saturated corner -- so
-  irredundancy reduces to pairwise extent domination.)
+A finite lower set is a bounded one, with no w extent: the downward
+closure of its generators, the points e-1 of its boxes e (``closure``,
+``generators``), written in braces as ``{(0,1);(1,0)}``.
 
 Unbounded extents are float("inf"), exported as UNBOUNDED, written "w".
 The complement of a lower set, given by the minimal points outside it,
@@ -38,47 +38,6 @@ class UnboundedError(ValueError):
 def _check_dim(a, b):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-@dataclass(frozen=True)
-class FiniteLowerSet:
-    """Downward closure of finitely many points of N^dim."""
-
-    dim: int
-    generators: tuple = ()
-
-    def __post_init__(self):
-        for g in self.generators:
-            if len(g) != self.dim or any(c < 0 or not isinstance(c, int) for c in g):
-                raise ValueError(f"bad generator {g} for dimension {self.dim}")
-        if list(self.generators) != maximal_points(self.generators, self.dim):
-            raise ValueError("generators must be a sorted antichain")
-
-    def member(self, p: Point) -> bool:
-        if len(p) != self.dim:
-            raise ValueError("dimension mismatch")
-        return any(all(a <= b for a, b in zip(p, g)) for g in self.generators)
-
-    def includes(self, other: "FiniteLowerSet") -> bool:
-        _check_dim(self, other)
-        return all(self.member(g) for g in other.generators)
-
-    def union(self, other: "FiniteLowerSet") -> "FiniteLowerSet":
-        _check_dim(self, other)
-        return closure(self.generators + other.generators, self.dim)
-
-    def intersect(self, other: "FiniteLowerSet") -> "FiniteLowerSet":
-        _check_dim(self, other)
-        mins = [tuple(map(min, f, g)) for f in self.generators for g in other.generators]
-        return closure(mins, self.dim)
-
-    def __str__(self) -> str:
-        return format_fls(self)
-
-
-def closure(points, dim: int) -> FiniteLowerSet:
-    """The downward closure of ``points`` as a FiniteLowerSet."""
-    return FiniteLowerSet(dim, tuple(maximal_points(points, dim)))
 
 
 def _rect_ok(rect: Rect, dim: int) -> bool:
@@ -222,16 +181,31 @@ def full_space(dim: int) -> GeneralLowerSet:
     return GeneralLowerSet.make(dim, [tuple([UNBOUNDED] * dim)])
 
 
-def from_finite(f: FiniteLowerSet) -> GeneralLowerSet:
-    """Each generator g becomes the box with extents g+1."""
-    return GeneralLowerSet.make(f.dim, [tuple(c + 1 for c in g) for g in f.generators])
+def closure(points, dim: int) -> GeneralLowerSet:
+    """The downward closure of ``points``: a box g+1 for each point g."""
+    points = list(points)
+    for g in points:
+        if len(g) != dim or any(not isinstance(c, int) or c < 0 for c in g):
+            raise ValueError(f"bad generator {g} for dimension {dim}")
+    return GeneralLowerSet.make(dim, [tuple(c + 1 for c in g) for g in points])
 
 
-def to_finite(s: GeneralLowerSet) -> FiniteLowerSet:
-    """Inverse of from_finite; unbounded sets are rejected."""
+def generators(s: GeneralLowerSet) -> tuple:
+    """The maximal points of a bounded set, sorted: e-1 for each box e."""
     if any(UNBOUNDED in r for r in s.rects):
         raise UnboundedError(f"{s} is unbounded")
-    return closure([tuple(e - 1 for e in r) for r in s.rects], s.dim)
+    return tuple(tuple(e - 1 for e in r) for r in s.rects)
+
+
+def from_finite(s: GeneralLowerSet) -> GeneralLowerSet:
+    """``s`` itself: a finite lower set already is a GeneralLowerSet."""
+    return s
+
+
+def to_finite(s: GeneralLowerSet) -> GeneralLowerSet:
+    """``s`` itself once it is known to be bounded."""
+    generators(s)
+    return s
 
 
 def project(s: GeneralLowerSet, coords) -> GeneralLowerSet:
@@ -306,8 +280,8 @@ def compose_parts(parts, dim: int) -> GeneralLowerSet:
     """Union of the cylinders of one bounded part per coordinate subset.
 
     ``parts`` maps every nonempty frozenset C of coordinates to a
-    FiniteLowerSet living on the coordinates of C in sorted order.  The
-    result is always a proper lower set of N^dim.
+    bounded lower set living on the coordinates of C in sorted order.
+    The result is always a proper lower set of N^dim.
     """
     out = GeneralLowerSet.make(dim, [])
     for coords in _nonempty_subsets(dim):
@@ -316,7 +290,8 @@ def compose_parts(parts, dim: int) -> GeneralLowerSet:
         part = parts[coords]
         if part.dim != len(coords):
             raise ValueError(f"part for {sorted(coords)} has dimension {part.dim}")
-        out = out.union(preimage(from_finite(part), coords, dim))
+        generators(part)  # an unbounded part raises UnboundedError
+        out = out.union(preimage(part, coords, dim))
     if not out.proper:
         raise AssertionError("cylinders of bounded parts cannot cover the space")
     return out
@@ -325,18 +300,17 @@ def compose_parts(parts, dim: int) -> GeneralLowerSet:
 def decompose_parts(t: GeneralLowerSet) -> dict:
     """Split a proper lower set into per-subset bounded parts.
 
-    Each box contributes its bounded face (extents minus one on its
-    finite coordinates) to the part indexed by those coordinates;
-    compose_parts inverts this up to semantic equality.
+    Each box contributes its bounded face (its finite extents) to the
+    part indexed by its finite coordinates; compose_parts inverts this
+    up to semantic equality.
     """
     if not t.proper:
         raise ValueError("the full space has no bounded decomposition")
     buckets: dict = {c: [] for c in _nonempty_subsets(t.dim)}
     for r in t.rects:
-        coords = frozenset(i for i, e in enumerate(r) if e != UNBOUNDED)
-        corner = tuple(r[i] - 1 for i in sorted(coords))
-        buckets[coords].append(corner)
-    return {c: closure(pts, len(c)) for c, pts in buckets.items()}
+        face = tuple(e for e in r if e != UNBOUNDED)
+        buckets[frozenset(i for i, e in enumerate(r) if e != UNBOUNDED)].append(face)
+    return {c: GeneralLowerSet.make(len(c), faces) for c, faces in buckets.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +403,7 @@ MAX_LOWER_SETS = 5000
 
 def enumerate_fls(box):
     """Yield every lower set inside the finite grid ``box``, as
-    FiniteLowerSets, by depth-first order-ideal search.
+    bounded GeneralLowerSets, by depth-first order-ideal search.
 
     Walks the grid points in lexicographic (linear-extension) order;
     a point may be present only when all its immediate predecessors are,
@@ -508,11 +482,12 @@ def enumerate_gls(dim: int, extents, max_rects: int):
 # text form
 
 
-def format_fls(f: FiniteLowerSet) -> str:
-    return "{" + format_points(f.generators) + "}"
+def format_fls(s: GeneralLowerSet) -> str:
+    """The generator form ``{(0,1);(1,0)}`` of a bounded set."""
+    return "{" + format_points(generators(s)) + "}"
 
 
-def parse_fls(text: str, dim: int | None = None) -> FiniteLowerSet:
+def parse_fls(text: str, dim: int | None = None) -> GeneralLowerSet:
     text = text.strip().replace(" ", "")
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"bad lower set literal: {text!r}")
@@ -520,7 +495,7 @@ def parse_fls(text: str, dim: int | None = None) -> FiniteLowerSet:
     if not body:
         if dim is None:
             raise ValueError("cannot infer dimension of an empty literal")
-        return FiniteLowerSet(dim)
+        return closure([], dim)
     gens = parse_points(body, dim, "bad generator")
     return closure(gens, len(gens[0]))
 
@@ -543,7 +518,7 @@ def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
         return GeneralLowerSet.make(dim, [])
     rects = []
     for chunk in text.split("u"):
-        m = re.fullmatch(r"\[([0-9w,]*)\]", chunk)
+        m = re.fullmatch(r"\[((?:[0-9]+|w)(?:,(?:[0-9]+|w))*)\]", chunk)
         if not m:
             raise ValueError(f"bad box {chunk!r}")
         rect = tuple(UNBOUNDED if c == "w" else int(c) for c in m.group(1).split(","))

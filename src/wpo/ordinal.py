@@ -336,11 +336,15 @@ def bounded_type(m: int, k: int = 1) -> Ordinal:
     return omega_pow(Ordinal(((from_int(m - 1), k),)))
 
 
+# Largest m general_type builds; I(N^10000) already costs 60 times I(N^1000).
+MAX_GENERAL_DIM = 1000
+
+
 def general_type(m: int) -> Ordinal:
     """Maximal order type of inclusion on all lower sets of the
     m-dimensional grid: w^(sum of w^(m-k) * C(m, k-1)) + 1."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if not 1 <= m <= MAX_GENERAL_DIM:
+        raise ValueError(f"need 1 <= m <= {MAX_GENERAL_DIM}")
     exponent = Ordinal(tuple((from_int(m - k), comb(m, k - 1)) for k in range(1, m + 1)))
     return add(omega_pow(exponent), ONE)
 

@@ -79,7 +79,7 @@ def parse_points(text: str, dim: int | None, what: str) -> list:
     """
     points = []
     for chunk in text.split(";"):
-        m = re.fullmatch(r"\(([0-9,]*)\)", chunk)
+        m = re.fullmatch(r"\(([0-9]+(?:,[0-9]+)*)\)", chunk)
         if not m:
             raise ValueError(f"{what} {chunk!r}")
         points.append(tuple(int(c) for c in m.group(1).split(",")))

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from wpo import badseq
+from wpo import badseq, linearize
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import main
-from wpo.ordinal import MAX_NESTING
+from wpo.lowerset import closure
+from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +51,16 @@ class TestTypeCommand:
         assert code == 2
         assert "cannot read space descriptor" in err
 
+    def test_dimension_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "type", f"I(N^{MAX_GENERAL_DIM})")
+        assert code == 0 and out.startswith(f"w^(w^{MAX_GENERAL_DIM - 1}+")
+        for m in (MAX_GENERAL_DIM + 1, 3000000):
+            began = time.perf_counter()
+            code, out, err = run_cli(capsys, "type", f"I(N^{m})")
+            assert time.perf_counter() - began < 1
+            assert code == 2 and out == ""
+            assert err == f"error: need 1 <= m <= {MAX_GENERAL_DIM}\n"
+
 
 class TestOrdCommand:
     def test_two_point_antichain(self, capsys):
@@ -67,6 +81,21 @@ class TestOrdCommand:
         code, out, err = run_cli(capsys, "ord", "{(1,2);(3)}")
         assert code == 2 and out == ""
         assert err == "error: bad generator (3,) for dimension 2\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ord", "{()}"], "bad generator '()'"),
+    (["ord", "{(1,,2)}"], "bad generator '(1,,2)'"),
+    (["ord", "{(1,2,)}"], "bad generator '(1,2,)'"),
+    (["ideal", "--gens", "()"], "bad exponent vector '()'"),
+    (["ideal", "[]"], "bad box '[]'"),
+    (["ideal", "[1,,2]"], "bad box '[1,,2]'"),
+    (["ideal", "[w5]"], "bad box '[w5]'"),
+])
+def test_empty_coordinates_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestHardyCommand:
@@ -212,6 +241,30 @@ class TestBadseqVerify:
         assert err == "error: line 8: bad exponent vector (3,) for dimension 2\n"
 
 
+    @pytest.mark.parametrize("column,text,message", [
+        (2, "[]", "bad box '[]'"),
+        (2, "[2,]", "bad box '[2,]'"),
+        (5, "(1,,2)", "bad exponent vector '(1,,2)'"),
+    ])
+    def test_empty_coordinate_in_record(self, capsys, tmp_path, column, text, message):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[7].split("|")
+        cols[column] = text
+        lines[7] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: line 8: {message}\n"
+
+    def test_dimension_above_bound_fails_fast(self, capsys):
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "badseq", "-m", "3000000", "-n", "1")
+        assert time.perf_counter() - began < 1
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= m <= {MAX_GENERAL_DIM}\n"
+
     @pytest.mark.parametrize("m", ["1", "4"])
     def test_new_dimensions_verify(self, capsys, tmp_path, m):
         path = str(tmp_path / "run.rec")
@@ -286,6 +339,35 @@ class TestOracleCommand:
     def test_unknown_suite_rejected(self, capsys):
         assert run_cli(capsys, "oracle", "bogus")[0] == 2
 
+    @pytest.mark.parametrize("suite,flag", [
+        ("inclusion", "--pairs"), ("ideal", "--pairs"), ("phi", "--samples"),
+        ("spec", "--samples"), ("phi", "--max-rects"),
+    ])
+    def test_negative_count_rejected(self, capsys, suite, flag):
+        code, out, err = run_cli(capsys, "oracle", suite, flag, "-3")
+        assert code == 2 and out == ""
+        assert err == "error: --pairs, --samples and --max-rects must be at least 0\n"
+
+    def test_zero_count_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "inclusion", "--pairs", "0")
+        assert code == 0 and out == "inclusion dim=2: 0 cases, ok\nseed: 0\n"
+
+    def test_monotone_violations_printed(self, capsys, monkeypatch):
+        # ranks of {(0,0)} and {(0,2)} swapped: each set prints in its
+        # generator form
+        a1, a3 = closure([(0, 0)], 2), closure([(0, 2)], 2)
+        swap = {a1: a3, a3: a1}
+        real = linearize.ordinal_rank
+        monkeypatch.setattr(linearize, "ordinal_rank", lambda f: real(swap.get(f, f)))
+        code, out, _ = run_cli(capsys, "oracle", "monotone", "--box", "1x3")
+        assert code == 1
+        assert out.splitlines() == [
+            "monotone box=1x3: 4 sets, 16 pairs, 3 violations",
+            "  {(0,0)} <= {(0,1)} but 3 > 2",
+            "  {(0,0)} <= {(0,2)} but 3 > 1",
+            "  {(0,1)} <= {(0,2)} but 2 > 1",
+        ]
+
 
 class TestParserPlumbing:
     def test_no_arguments(self, capsys):
@@ -307,3 +389,37 @@ def test_import_starts_no_process_machinery():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def readme_examples():
+    """The ``$ wpo ...`` lines of the README "Command line" block, each
+    with the output shown under it."""
+    text = README.read_text()
+    block = text.split("## Command line\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 10
+    for command, shown in examples:
+        argv = shlex.split(command, comments=True)
+        keep = None
+        if "|" in argv:
+            argv, pipe = argv[:argv.index("|")], argv[argv.index("|") + 1:]
+            assert pipe[:2] == ["tail", "-n"] and len(pipe) == 3, command
+            keep = int(pipe[2])
+        assert argv[0] == "wpo", command
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0 and err == "", command
+        lines = out.splitlines()
+        if keep is not None:
+            lines = lines[-keep:]
+        assert lines == shown, command

@@ -5,7 +5,7 @@ import pytest
 
 from wpo import linearize
 from wpo.linearize import check_monotone, lex_ordinal, ordinal_rank
-from wpo.lowerset import closure, enumerate_fls
+from wpo.lowerset import UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls
 from wpo.ordinal import ONE, ZERO, add, compare, from_int, natural_sum, parse_ordinal
 
 
@@ -61,6 +61,10 @@ class TestOrdinalRank:
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
             ordinal_rank(closure([()], 0))
+
+    def test_rejects_unbounded_set(self):
+        with pytest.raises(UnboundedError):
+            ordinal_rank(GeneralLowerSet.make(2, [(1, UNBOUNDED)]))
 
 
 class TestMonotone:

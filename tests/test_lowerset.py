@@ -9,7 +9,6 @@ from support import rand_point
 from wpo import lowerset
 from wpo.lowerset import (
     ENUMERATION_GUARD,
-    FiniteLowerSet,
     GeneralLowerSet,
     PartialSpecification,
     UNBOUNDED,
@@ -25,6 +24,7 @@ from wpo.lowerset import (
     from_finite,
     full_space,
     full_specification,
+    generators,
     intersection_image,
     is_compatible,
     parse_fls,
@@ -36,6 +36,7 @@ from wpo.lowerset import (
     validate_specification,
 )
 from wpo.oracles import brute_equal, brute_includes, grid, grid_bound, rand_gls, rand_proper_gls
+from wpo.vectors import maximal_points
 
 W = UNBOUNDED
 
@@ -65,15 +66,27 @@ def brute_intersection_image(s, coords):
 class TestFiniteLowerSet:
     def test_closure_keeps_maximal_points(self):
         f = closure([(0, 0), (2, 1), (1, 1), (2, 0)], 2)
-        assert f.generators == ((2, 1),)
+        assert generators(f) == ((2, 1),)
+        assert f.rects == ((3, 2),)
+        assert closure(iter([(0, 0), (2, 1)]), 2) == f
 
     def test_antichain_validation(self):
+        # the raw constructor takes sorted boxes only; closure sorts and
+        # drops dominated points, but refuses points that are not in N^dim
         with pytest.raises(ValueError):
-            FiniteLowerSet(2, ((1, 1), (0, 0)))
-        with pytest.raises(ValueError):
-            FiniteLowerSet(2, ((1, -1),))
-        with pytest.raises(ValueError):
-            FiniteLowerSet(2, ((1, 1, 1),))
+            GeneralLowerSet(2, ((2, 2), (1, 1)))
+        assert closure([(1, 1), (0, 0)], 2) == closure([(1, 1)], 2)
+        # checked before the +1 shift: (1, -1) must not become the empty
+        # box (2, 0) and vanish
+        with pytest.raises(ValueError, match=r"bad generator \(1, -1\) for dimension 2"):
+            closure([(1, -1)], 2)
+        with pytest.raises(ValueError, match=r"bad generator \(1, 1, 1\) for dimension 2"):
+            closure([(1, 1, 1)], 2)
+
+    def test_closure_rejects_bad_points(self):
+        for bad in [(0, 0), (1, -1)], [(3,)], [(1.0, 2)], [(1, "2")], [(None, 0)]:
+            with pytest.raises(ValueError, match="bad generator"):
+                closure(bad, 2)
 
     def test_member(self):
         f = closure([(2, 1), (0, 3)], 2)
@@ -102,7 +115,7 @@ class TestFiniteLowerSet:
         f = closure([(0, 3), (2, 1)], 2)
         assert format_fls(f) == "{(0,3);(2,1)}"
         assert parse_fls("{(0,3);(2,1)}") == f
-        assert parse_fls("{}", dim=3) == FiniteLowerSet(3)
+        assert parse_fls("{}", dim=3) == closure([], 3) == GeneralLowerSet.make(3, [])
         with pytest.raises(ValueError):
             parse_fls("{}")
         with pytest.raises(ValueError):
@@ -187,23 +200,32 @@ class TestFiniteBridge:
         g = from_finite(f)
         assert format_gls(g) == "[1,2]u[2,1]"
         assert to_finite(g) == f
+        assert generators(f) == ((0, 1), (1, 0))
 
     def test_round_trip_enumerated(self):
         for f in enumerate_fls((3, 3)):
             assert to_finite(from_finite(f)) == f
+            assert closure(generators(f), 2) == f
+            assert parse_fls(format_fls(f), 2) == f
 
     def test_unbounded_rejected(self):
-        with pytest.raises(UnboundedError):
-            to_finite(GeneralLowerSet.make(2, [(1, W)]))
+        s = GeneralLowerSet.make(2, [(1, W)])
+        for convert in (to_finite, generators, format_fls):
+            with pytest.raises(UnboundedError):
+                convert(s)
 
     def test_membership_preserved(self):
+        """closure against the downward closure over a grid, and its
+        generators against the maximal points."""
         rng = random.Random(9)
-        for _ in range(100):
-            f = closure([rand_point(rng, 3, 4) for _ in range(3)], 3)
-            g = from_finite(f)
-            for _ in range(30):
-                p = rand_point(rng, 3, 5)
-                assert f.member(p) == g.member(p)
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            pts = [rand_point(rng, dim, 3) for _ in range(rng.randint(0, 4))]
+            f = closure(pts, dim)
+            assert generators(f) == tuple(maximal_points(pts, dim))
+            for p in product(range(5), repeat=dim):
+                below = any(all(a <= b for a, b in zip(p, g)) for g in pts)
+                assert f.member(p) == below
 
 
 class TestProjection:
@@ -280,6 +302,15 @@ class TestPartsDecomposition:
         with pytest.raises(ValueError):
             compose_parts(parts, 2)
 
+    def test_compose_rejects_unbounded_part(self):
+        parts = {
+            frozenset([0]): closure([(1,)], 1),
+            frozenset([1]): closure([], 1),
+            frozenset([0, 1]): GeneralLowerSet.make(2, [(1, W)]),
+        }
+        with pytest.raises(UnboundedError):
+            compose_parts(parts, 2)
+
     def test_decompose_rejects_full_space(self):
         with pytest.raises(ValueError):
             decompose_parts(full_space(2))
@@ -287,15 +318,15 @@ class TestPartsDecomposition:
     def test_empty_set_has_empty_parts(self):
         parts = decompose_parts(GeneralLowerSet.make(2, []))
         assert set(parts) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
-        assert all(p.generators == () for p in parts.values())
+        assert all(generators(p) == () for p in parts.values())
 
     def test_parts_land_on_sorted_coordinates(self):
         # a single box bounded in x only contributes to the {0} part
         s = GeneralLowerSet.make(2, [(3, W)])
         parts = decompose_parts(s)
-        assert parts[frozenset([0])].generators == ((2,),)
-        assert parts[frozenset([1])].generators == ()
-        assert parts[frozenset([0, 1])].generators == ()
+        assert generators(parts[frozenset([0])]) == ((2,),)
+        assert generators(parts[frozenset([1])]) == ()
+        assert generators(parts[frozenset([0, 1])]) == ()
 
     def test_compose_never_full(self):
         rng = random.Random(23)
