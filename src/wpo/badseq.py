@@ -159,7 +159,7 @@ class _IdealFold:
             self.rects.append(r)
             self.stack.append(complement_points([r], self.dim, prev))
         points = self.stack[-1] if self.stack else complement_points([], self.dim)
-        return MonomialIdeal(self.dim, tuple(points))
+        return MonomialIdeal.make(self.dim, points)
 
 
 @dataclass(frozen=True)
@@ -245,14 +245,8 @@ class BadnessReport:
 def verify_bad(run: DescentRun) -> BadnessReport:
     """Check every pair i<j for the forbidden inclusion D_i <= D_j.
 
-    Each pair is one big-int test on probe masks (see
-    ``inclusion_masks``): one probe bit per distinct box of the run, at
-    the box's saturated corner, with unbounded coordinates set to a
-    global B, 1 plus the largest finite extent in the run.  A corner
-    lies in a box exactly when its own box fits inside, and that holds
-    for any B at least as large as every finite extent of the two sets,
-    so one global B is exact for every pair at once.  Then D_i <= D_j
-    iff every probe of D_i lies in D_j, i.e. mask_i & ~mask_j == 0.
+    Each pair is one big-int test on probe masks: D_i <= D_j iff
+    mask_i & ~mask_j == 0 (``inclusion_masks``, which proves it).
 
     Pairs are scanned row by row and the scan stops at the first
     inclusion, so ``pairs_checked`` counts the pairs up to and

@@ -104,6 +104,8 @@ def _parse_box(text: str) -> tuple:
 def cmd_oracle(args) -> int:
     if min(args.pairs, args.samples, args.max_rects) < 0:
         raise ValueError("--pairs, --samples and --max-rects must be at least 0")
+    if args.m < 1:
+        raise ValueError("--m must be at least 1")
     if args.suite == "monotone":
         rep = check_monotone(_parse_box(args.box))
         print(

@@ -3,10 +3,11 @@
 A lower set is a GeneralLowerSet: a finite union of half-open boxes,
 each given by per-coordinate extents from N union {w}; a point p lies
 in a box when p[i] < extent[i] for every i.  The canonical form keeps
-exactly the maximal boxes, sorted.  (A box inside a union of downward
-closed boxes is inside a single one -- substitute a fresh bound for its
-unbounded coordinates and look at the saturated corner -- so
-irredundancy reduces to pairwise extent domination.)
+exactly the maximal boxes, sorted, and it is unique: a box inside a
+union of boxes is inside a single one (the saturated-corner lemma of
+``inclusion_masks``), so a redundant box is one whose extents another
+box dominates.  The constructor accepts only the canonical form;
+``make`` canonicalizes any list of boxes.
 
 A finite lower set is a bounded one, with no w extent: the downward
 closure of its generators, the points e-1 of its boxes e (``closure``,
@@ -20,7 +21,7 @@ wraps those points in ideals.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .vectors import format_points, maximal_points, minimal_points, parse_points
@@ -40,43 +41,39 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _rect_ok(rect: Rect, dim: int) -> bool:
-    return len(rect) == dim and all(
-        (isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in rect
-    )
+def _check_boxes(rects, dim: int) -> None:
+    for r in rects:
+        if len(r) != dim or not all(
+            (isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in r
+        ):
+            raise ValueError(f"bad box {r} for dimension {dim}")
 
 
 @dataclass(frozen=True)
 class GeneralLowerSet:
-    """A finite union of boxes in canonical (irredundant, sorted) form."""
+    """A finite union of boxes in canonical form: the maximal boxes, sorted."""
 
     dim: int
     rects: tuple = ()
-    _rectset: frozenset = field(init=False, repr=False, compare=False)
-    _maxfin: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for r in self.rects:
-            if not _rect_ok(r, self.dim):
-                raise ValueError(f"bad box {r} for dimension {self.dim}")
-        if list(self.rects) != sorted(set(self.rects)):
-            raise ValueError("boxes must be sorted and duplicate-free")
-        finite = [e for r in self.rects for e in r if e != UNBOUNDED]
-        object.__setattr__(self, "_rectset", frozenset(self.rects))
-        object.__setattr__(self, "_maxfin", max(finite, default=0))
+        _check_boxes(self.rects, self.dim)
+        if list(self.rects) != maximal_points(self.rects, self.dim):
+            raise ValueError("boxes must be the sorted maximal ones")
 
     @classmethod
     def make(cls, dim: int, rects) -> "GeneralLowerSet":
         """Canonicalize: drop empty boxes, keep only maximal extent tuples."""
         live = [tuple(r) for r in rects if all(e != 0 for e in r)]
-        for r in live:
-            if not _rect_ok(r, dim):
-                raise ValueError(f"bad box {r} for dimension {dim}")
-        return cls(dim, tuple(maximal_points(live, dim)))
+        _check_boxes(live, dim)
+        s = object.__new__(cls)  # canonical by construction: skip the check
+        object.__setattr__(s, "dim", dim)
+        object.__setattr__(s, "rects", tuple(maximal_points(live, dim)))
+        return s
 
     @property
     def max_finite_extent(self) -> int:
-        return self._maxfin
+        return max((e for r in self.rects for e in r if e != UNBOUNDED), default=0)
 
     @property
     def proper(self) -> bool:
@@ -89,27 +86,14 @@ class GeneralLowerSet:
         return any(all(a < e for a, e in zip(p, r)) for r in self.rects)
 
     def includes(self, other: "GeneralLowerSet") -> bool:
-        """Inclusion other <= self, decided on saturated corners.
-
-        Each box of ``other`` is checked at its corner, with unbounded
-        coordinates replaced by a bound B exceeding every finite extent
-        in sight; the corner lands in some single box of self iff the
-        whole box fits.
-        """
-        _check_dim(self, other)
-        bound = 1 + max(self._maxfin, other._maxfin)
-        rectset = self._rectset
-        rects = self.rects
-        for r in reversed(other.rects):
-            if r in rectset:
-                continue
-            corner = tuple(bound if e == UNBOUNDED else e - 1 for e in r)
-            if not any(all(a < e for a, e in zip(corner, s)) for s in rects):
-                return False
-        return True
+        """Inclusion other <= self, decided as in ``inclusion_masks``."""
+        mine, theirs = inclusion_masks((self, other))
+        return not theirs & ~mine
 
     def same_set(self, other: "GeneralLowerSet") -> bool:
-        return self.includes(other) and other.includes(self)
+        """Equality of the sets: the canonical form of each is unique."""
+        _check_dim(self, other)
+        return self == other
 
     def union(self, other: "GeneralLowerSet") -> "GeneralLowerSet":
         _check_dim(self, other)
@@ -128,13 +112,19 @@ def inclusion_masks(sets) -> list:
     """One int per set, with sets[i] <= sets[j] iff
     ``masks[i] & ~masks[j] == 0``.
 
-    Each distinct box of ``sets`` gives one probe bit at its saturated
-    corner: e-1 for a finite extent e, and for an unbounded one a global
-    B, 1 plus the largest finite extent of all the sets.  Bit k of a
-    set's mask says whether probe k lies in the set: the OR over the
-    set's boxes of the AND over the axes of the prefix masks "corner
-    coordinate t below extent t".  See ``badseq.verify_bad`` for why
-    this decides inclusion exactly.
+    This is the saturated-corner lemma.  Fix B above every finite extent
+    in sight; the corner of a box r is e-1 at each finite extent e and B
+    at each unbounded one.  The corner is a point of r, and it lies in a
+    box s only when r fits inside s: e-1 < s[t] gives e <= s[t], and
+    B < s[t] forces s[t] = w.  So r lies inside a lower set iff its
+    corner does, and D <= E iff E holds the corner of every box of D.
+    One global B, 1 plus the largest finite extent of all the sets, is
+    exact for every pair at once.
+
+    Each distinct box of ``sets`` gives one probe bit at its corner.
+    Bit k of a set's mask says whether probe k lies in the set: the OR
+    over the set's boxes of the AND over the axes of the prefix masks
+    "corner coordinate t below extent t".
     """
     sets = list(sets)
     if not sets:
@@ -144,7 +134,7 @@ def inclusion_masks(sets) -> list:
     boxes = sorted({r for s in sets for r in s.rects})
     if not boxes:
         return [0] * len(sets)
-    bound = 1 + max(s._maxfin for s in sets)
+    bound = 1 + max(s.max_finite_extent for s in sets)
     full = (1 << len(boxes)) - 1
     prefix = []
     for t in range(sets[0].dim):
@@ -409,8 +399,8 @@ def enumerate_fls(box):
     a point may be present only when all its immediate predecessors are,
     so leaving a point out ends its row (the points differing from it in
     the last coordinate only).  Raises ValueError on a volume above
-    ENUMERATION_GUARD, and once more than MAX_LOWER_SETS sets have
-    turned up.
+    ENUMERATION_GUARD, at once on a volume of MAX_LOWER_SETS or more,
+    and once more than MAX_LOWER_SETS sets have turned up.
     """
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
@@ -418,6 +408,9 @@ def enumerate_fls(box):
     size = math.prod(box)
     if size > ENUMERATION_GUARD:
         raise ValueError(f"box volume {size} exceeds guard {ENUMERATION_GUARD}")
+    # volume V: at least V+1 lower sets, one per prefix of the point order
+    if size >= MAX_LOWER_SETS:
+        raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
     dim = len(box)
     row = box[-1]
     points = sorted(product(*[range(e) for e in box]))

@@ -18,21 +18,30 @@ from .vectors import dominates, format_points, minimal_points, parse_points
 _VARS = ("X", "Y", "Z")
 
 
+def _check_gens(gens, dim: int) -> None:
+    for g in gens:
+        if len(g) != dim or any(c < 0 or not isinstance(c, int) for c in g):
+            raise ValueError(f"bad exponent vector {g} for dimension {dim}")
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     dim: int
     gens: tuple = ()
 
     def __post_init__(self):
-        for g in self.gens:
-            if len(g) != self.dim or any(c < 0 or not isinstance(c, int) for c in g):
-                raise ValueError(f"bad exponent vector {g} for dimension {self.dim}")
+        _check_gens(self.gens, self.dim)
         if list(self.gens) != minimal_points(self.gens, self.dim):
             raise ValueError("generators must be a sorted antichain")
 
     @classmethod
     def make(cls, dim: int, gens) -> "MonomialIdeal":
-        return cls(dim, tuple(minimal_points([tuple(g) for g in gens], dim)))
+        gens = [tuple(g) for g in gens]
+        _check_gens(gens, dim)
+        i = object.__new__(cls)  # canonical by construction: skip the check
+        object.__setattr__(i, "dim", dim)
+        object.__setattr__(i, "gens", tuple(minimal_points(gens, dim)))
+        return i
 
     @property
     def is_zero(self) -> bool:
@@ -79,7 +88,7 @@ def zero_ideal(dim: int) -> MonomialIdeal:
 
 def complement_ideal(s: GeneralLowerSet) -> MonomialIdeal:
     """The ideal whose monomials are exactly the points outside s."""
-    return MonomialIdeal(s.dim, tuple(complement_points(s.rects, s.dim)))
+    return MonomialIdeal.make(s.dim, complement_points(s.rects, s.dim))
 
 
 def complement_lowerset(i: MonomialIdeal) -> GeneralLowerSet:

@@ -99,7 +99,7 @@ def naive_hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
 
 
 def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleReport:
-    """Corner-based inclusion, union and intersection against the grid."""
+    """Inclusion (``lowerset.inclusion_masks``), union and intersection against the grid."""
     rng = random.Random(seed)
     failures = []
     for k in range(pairs):

@@ -348,6 +348,14 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert err == "error: --pairs, --samples and --max-rects must be at least 0\n"
 
+    @pytest.mark.parametrize("suite,m", [
+        ("phi", "0"), ("inclusion", "0"), ("ideal", "0"), ("spec", "-1"),
+    ])
+    def test_dimension_below_one_rejected(self, capsys, suite, m):
+        code, out, err = run_cli(capsys, "oracle", suite, "--m", m)
+        assert code == 2 and out == ""
+        assert err == "error: --m must be at least 1\n"
+
     def test_zero_count_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "inclusion", "--pairs", "0")
         assert code == 0 and out == "inclusion dim=2: 0 cases, ok\nseed: 0\n"

@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -71,8 +72,8 @@ class TestFiniteLowerSet:
         assert closure(iter([(0, 0), (2, 1)]), 2) == f
 
     def test_antichain_validation(self):
-        # the raw constructor takes sorted boxes only; closure sorts and
-        # drops dominated points, but refuses points that are not in N^dim
+        # the raw constructor takes the canonical form only; closure sorts
+        # and drops dominated points, but refuses points that are not in N^dim
         with pytest.raises(ValueError):
             GeneralLowerSet(2, ((2, 2), (1, 1)))
         assert closure([(1, 1), (0, 0)], 2) == closure([(1, 1)], 2)
@@ -145,11 +146,20 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             GeneralLowerSet(2, ((1, W), (3, 2), (3, 2)))  # duplicate
         with pytest.raises(ValueError):
+            GeneralLowerSet(2, ((1, 1), (2, 2)))  # (1, 1) lies inside (2, 2)
+        with pytest.raises(ValueError):
             GeneralLowerSet.make(2, [(1.5, 2)])
         with pytest.raises(ValueError):
             GeneralLowerSet.make(2, [(-1, 2)])
         with pytest.raises(ValueError):
             GeneralLowerSet.make(2, [(1, 2, 3)])
+
+    def test_make_builds_what_the_constructor_accepts(self):
+        rng = random.Random(12)
+        for dim in (1, 2, 3, 4):
+            for _ in range(100):
+                s = rand_gls(rng, dim, max_rects=8)
+                assert GeneralLowerSet(s.dim, s.rects) == s
 
     def test_member(self):
         s = GeneralLowerSet.make(2, [(2, W), (W, 2)])
@@ -168,7 +178,7 @@ class TestInclusion:
 
     def test_against_grid(self):
         rng = random.Random(3)
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4):
             for _ in range(150):
                 s, t = rand_gls(rng, dim), rand_gls(rng, dim)
                 assert t.includes(s) == brute_includes(s, t)
@@ -177,6 +187,16 @@ class TestInclusion:
         a = GeneralLowerSet.make(2, [(2, 2), (2, 1), (1, 2)])
         b = GeneralLowerSet.make(2, [(2, 2)])
         assert a == b and a.same_set(b)
+
+    def test_same_set_against_grid(self):
+        rng = random.Random(8)
+        for dim in (1, 2, 3):
+            for _ in range(100):
+                s = rand_gls(rng, dim, max_extent=2, max_rects=3)
+                t = rand_gls(rng, dim, max_extent=2, max_rects=3)
+                assert s.same_set(t) == brute_equal(s, t)
+                u = s.union(s.intersect(t))  # s again, reached another way
+                assert s.same_set(u) and brute_equal(s, u)
 
     def test_union_intersect_against_grid(self):
         rng = random.Random(4)
@@ -444,6 +464,15 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_fls((3, 3, 4))) == 4116
         with pytest.raises(ValueError, match="more than 5000 lower sets"):
             list(enumerate_fls((8, 8)))
+
+    def test_volume_at_the_cap_fails_fast(self):
+        # a box of volume V holds at least V+1 lower sets
+        assert sum(1 for _ in enumerate_fls((1, 4999))) == 5000
+        for box in (1, 5000), (32, 32, 32, 32):
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match="more than 5000 lower sets"):
+                next(enumerate_fls(box))
+            assert time.perf_counter() - began < 0.5
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,14 @@ class TestMinimalGenerators:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1, 1, 1),))
 
+    def test_make_builds_what_the_constructor_accepts(self):
+        rng = random.Random(13)
+        for dim in (1, 2, 3, 4):
+            for _ in range(100):
+                for i in (rand_ideal(rng, dim, max_gens=8),
+                          complement_ideal(rand_gls(rng, dim, max_rects=8))):
+                    assert MonomialIdeal(i.dim, i.gens) == i
+
     def test_zero_and_unit(self):
         assert zero_ideal(2).is_zero and not zero_ideal(2).is_unit
         assert unit_ideal(2).is_unit and not unit_ideal(2).is_zero
