@@ -159,7 +159,7 @@ class _IdealFold:
             self.rects.append(r)
             self.stack.append(complement_points([r], self.dim, prev))
         points = self.stack[-1] if self.stack else complement_points([], self.dim)
-        return MonomialIdeal.make(self.dim, points)
+        return MonomialIdeal(self.dim, tuple(points))
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,6 @@ def _parse_box(text: str) -> tuple:
 def cmd_oracle(args) -> int:
     if min(args.pairs, args.samples, args.max_rects) < 0:
         raise ValueError("--pairs, --samples and --max-rects must be at least 0")
-    if args.m < 1:
-        raise ValueError("--m must be at least 1")
     if args.suite == "monotone":
         rep = check_monotone(_parse_box(args.box))
         print(
@@ -116,6 +114,8 @@ def cmd_oracle(args) -> int:
             print(f"  {format_fls(s)} <= {format_fls(t)} "
                   f"but {format_ordinal(rs)} > {format_ordinal(rt)}")
         return 0 if rep.ok else 1
+    if args.m < 1:
+        raise ValueError("--m must be at least 1")
     if args.suite == "phi":
         rep = oracles.run_phi(dim=args.m, max_extent=args.max_extent,
                               max_rects=args.max_rects, seed=args.seed,

@@ -41,6 +41,13 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _trusted(cls, **fields):
+    """``cls(**fields)`` minus its ``__post_init__`` check: canonical fields only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # frozen: plain attribute assignment raises
+    return obj
+
+
 def _check_boxes(rects, dim: int) -> None:
     for r in rects:
         if len(r) != dim or not all(
@@ -66,10 +73,7 @@ class GeneralLowerSet:
         """Canonicalize: drop empty boxes, keep only maximal extent tuples."""
         live = [tuple(r) for r in rects if all(e != 0 for e in r)]
         _check_boxes(live, dim)
-        s = object.__new__(cls)  # canonical by construction: skip the check
-        object.__setattr__(s, "dim", dim)
-        object.__setattr__(s, "rects", tuple(maximal_points(live, dim)))
-        return s
+        return _trusted(cls, dim=dim, rects=tuple(maximal_points(live, dim)))
 
     @property
     def max_finite_extent(self) -> int:

@@ -12,7 +12,7 @@ from_complement); this module wraps its points in ideals.
 
 from dataclasses import dataclass
 
-from .lowerset import GeneralLowerSet, complement_points, from_complement
+from .lowerset import GeneralLowerSet, _trusted, complement_points, from_complement
 from .vectors import dominates, format_points, minimal_points, parse_points
 
 _VARS = ("X", "Y", "Z")
@@ -38,10 +38,7 @@ class MonomialIdeal:
     def make(cls, dim: int, gens) -> "MonomialIdeal":
         gens = [tuple(g) for g in gens]
         _check_gens(gens, dim)
-        i = object.__new__(cls)  # canonical by construction: skip the check
-        object.__setattr__(i, "dim", dim)
-        object.__setattr__(i, "gens", tuple(minimal_points(gens, dim)))
-        return i
+        return _trusted(cls, dim=dim, gens=tuple(minimal_points(gens, dim)))
 
     @property
     def is_zero(self) -> bool:
@@ -88,7 +85,7 @@ def zero_ideal(dim: int) -> MonomialIdeal:
 
 def complement_ideal(s: GeneralLowerSet) -> MonomialIdeal:
     """The ideal whose monomials are exactly the points outside s."""
-    return MonomialIdeal.make(s.dim, complement_points(s.rects, s.dim))
+    return MonomialIdeal(s.dim, tuple(complement_points(s.rects, s.dim)))
 
 
 def complement_lowerset(i: MonomialIdeal) -> GeneralLowerSet:

@@ -356,6 +356,11 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert err == "error: --m must be at least 1\n"
 
+    def test_monotone_ignores_dimension(self, capsys):
+        # monotone reads its dimension from --box, never from --m
+        code, out, _ = run_cli(capsys, "oracle", "monotone", "--box", "2x2", "--m", "0")
+        assert code == 0 and out.startswith("monotone box=2x2: ")
+
     def test_zero_count_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "inclusion", "--pairs", "0")
         assert code == 0 and out == "inclusion dim=2: 0 cases, ok\nseed: 0\n"
