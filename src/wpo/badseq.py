@@ -38,6 +38,7 @@ from .lowerset import (
 from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
+    OrdinalColumn,
     ZERO,
     format_ordinal,
     fundamental,
@@ -362,6 +363,9 @@ def write_run(run: DescentRun, path: str) -> None:
 def read_run(path: str) -> DescentRun:
     headers = {}
     records = []
+    # consecutive records of a descent share all but a short tail of
+    # their ordinal's text, so each parse resumes where the texts differ
+    ordinals = OrdinalColumn()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -381,7 +385,7 @@ def read_run(path: str) -> DescentRun:
                 records.append(
                     BadSequenceRecord(
                         index=int(cols[0]),
-                        alpha=parse_ordinal(cols[1]),
+                        alpha=ordinals.parse(cols[1]),
                         lower_set=parse_gls(cols[2], dim),
                         norm=int(cols[3]),
                         extent=int(cols[4]),

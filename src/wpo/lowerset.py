@@ -394,6 +394,10 @@ ENUMERATION_GUARD = 2 ** 20
 # every set with every other, so this caps them at 25M pairs.
 MAX_LOWER_SETS = 5000
 
+# Most unions of boxes enumerate_gls tries.  Each is canonicalized; the
+# 43,745 of `wpo oracle phi --m 3` take about 11 s with their checks.
+MAX_BOX_COMBINATIONS = 100_000
+
 
 def enumerate_fls(box):
     """Yield every lower set inside the finite grid ``box``, as
@@ -461,13 +465,26 @@ def enumerate_fls(box):
 
 def enumerate_gls(dim: int, extents, max_rects: int):
     """Yield every distinct union of at most ``max_rects`` boxes whose
-    extents come from ``extents``, canonicalized, each set once."""
+    extents come from ``extents``, canonicalized, each set once.
+
+    Raises ValueError before yielding anything when there are more than
+    MAX_BOX_COMBINATIONS combinations of boxes to try."""
     menu = sorted(set(extents), key=lambda e: (e == UNBOUNDED, e))
     if not all((isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in menu):
         raise ValueError("extents must be positive integers or UNBOUNDED")
+    size = len(menu) ** dim
+    most = min(max_rects, size)
+    combos = 0
+    for count in range(most + 1):
+        combos += math.comb(size, count)
+        if combos > MAX_BOX_COMBINATIONS:
+            raise ValueError(
+                f"more than {MAX_BOX_COMBINATIONS} combinations of at most "
+                f"{max_rects} of {size} boxes"
+            )
     boxes = sorted(product(menu, repeat=dim))
     seen = set()
-    for count in range(max_rects + 1):
+    for count in range(most + 1):
         for combo in combinations(boxes, count):
             s = GeneralLowerSet.make(dim, combo)
             if s.rects not in seen:

@@ -380,10 +380,12 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0, starts=()):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self.depth = 0
+        # where each top-level term begins
+        self.starts = list(starts)
 
     def error(self, message: str):
         raise OrdinalParseError(message, self.pos)
@@ -405,6 +407,8 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def term(self) -> tuple:
+        if not self.depth:
+            self.starts.append(self.pos)
         if self.peek() == "w":
             self.pos += 1
             exp = ONE
@@ -437,27 +441,64 @@ class _Parser:
             return ZERO, n
         self.error("expected 'w' or a number")
 
-    def ordinal(self) -> Ordinal:
-        if self.peek() == "0":
+    def ordinal(self, kept: tuple = ()) -> Ordinal:
+        """A sum of terms.  ``kept`` are top-level terms already parsed
+        and checked, each followed by a '+'; the sum resumes after them
+        at ``self.pos``."""
+        if not kept and self.peek() == "0":
             save = self.pos
             self.pos += 1
             if not self.peek().isdigit():
                 return ZERO
             self.pos = save
-        terms = [self.term()]
+        terms = [*kept, self.term()]
         while self.peek() == "+":
             self.pos += 1
             terms.append(self.term())
-        for (ea, _), (eb, _) in zip(terms, terms[1:]):
+        new = terms[max(len(kept) - 1, 0):]
+        for (ea, _), (eb, _) in zip(new, new[1:]):
             if compare(ea, eb) <= 0:
                 self.error("exponents must strictly decrease")
         return _trusted(tuple(terms))
 
 
+class OrdinalColumn:
+    """Parses a column of ordinal texts, each of which may repeat a
+    prefix of the one before, as consecutive records of a descent do.
+
+    ``parse(text)`` returns what ``parse_ordinal(text)`` returns and
+    raises the same error at the same position, but keeps the terms of
+    the previous text up to the last top-level '+' the two texts share
+    and parses only the rest.  The parser looks one character ahead and
+    each top-level term starts at depth 0, so a term whose text and
+    following '+' are unchanged parses to the same term.
+    """
+
+    def __init__(self):
+        self._text = ""
+        self._terms = ()
+        self._starts = ()
+
+    def parse(self, text: str) -> Ordinal:
+        text = text.replace(" ", "")
+        prev, starts = self._text, self._starts
+        # keep the most terms whose text and following '+' are unchanged:
+        # starts[k] - 1 is the '+' after the first k terms
+        keep, hi = 0, len(starts)
+        while hi - keep > 1:
+            mid = (keep + hi) // 2
+            if text.startswith(prev[:starts[mid]]):
+                keep = mid
+            else:
+                hi = mid
+        p = _Parser(text, starts[keep] if keep else 0, starts[:keep])
+        result = p.ordinal(self._terms[:keep])
+        if p.pos != len(text):
+            p.error("trailing input")
+        self._text, self._terms, self._starts = text, result.terms, p.starts
+        return result
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the canonical text form; rejects non-decreasing exponents."""
-    p = _Parser(text.replace(" ", ""))
-    result = p.ordinal()
-    if p.pos != len(p.text):
-        p.error("trailing input")
-    return result
+    return OrdinalColumn().parse(text)

@@ -258,6 +258,21 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: line 8: {message}\n"
 
+    def test_ordinal_tail_out_of_order_rejected(self, capsys, tmp_path):
+        # record 25 keeps the terms record 24 shares with it, then ends in
+        # a term above the one before it
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "3", "-K", "2", "-n", "30", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[31].split("|")
+        assert cols[0] == "25" and cols[1].endswith("+w^(w^2+21)*24+w^(w^2+20)*26")
+        cols[1] = cols[1].rsplit("+", 1)[0] + "+w^(w^2+22)*26"
+        lines[31] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 32: exponents must strictly decrease (at position 334)\n"
+
     def test_dimension_above_bound_fails_fast(self, capsys):
         began = time.perf_counter()
         code, out, err = run_cli(capsys, "badseq", "-m", "3000000", "-n", "1")
@@ -331,6 +346,14 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", "monotone", "--box", "8x8")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "5000 lower sets" in err
+
+    def test_phi_too_many_combinations(self, capsys):
+        # 256 menu boxes at --m 4: 2,796,417 unions of at most 3 to try
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "phi", "--m", "4")
+        assert time.perf_counter() - began < 1
+        assert code == 2 and out == ""
+        assert err == "error: more than 100000 combinations of at most 3 of 256 boxes\n"
 
     def test_bad_box(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "monotone", "--box", "0x4")

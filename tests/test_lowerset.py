@@ -481,6 +481,22 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_fls((0, 2)))
 
+    def test_combination_cap(self):
+        # 64 menu boxes in dimension 3: 43,745 unions of at most 3 are
+        # tried; 256 in dimension 4: 2,796,417, refused before the first
+        assert lowerset.MAX_BOX_COMBINATIONS == 100_000
+        menu = [1, 2, 3, W]
+        assert next(enumerate_gls(3, menu, 3)).rects == ()
+        for dim, max_rects in (4, 3), (30, 1):
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match="more than 100000 combinations"):
+                next(enumerate_gls(dim, menu, max_rects))
+            assert time.perf_counter() - began < 0.5
+        # a count above the number of boxes adds no empty rounds
+        began = time.perf_counter()
+        assert len(list(enumerate_gls(1, [W], 10**5))) == 2
+        assert time.perf_counter() - began < 0.5
+
     def test_general_enumeration_distinct_and_complete(self):
         sets = list(enumerate_gls(2, [1, 2, W], 2))
         for a, b in combinations(sets, 2):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal
+from wpo.badseq import generate
 from wpo.oracles import naive_hardy
 from wpo.ordinal import (
     HardyOutcome,
@@ -12,6 +13,7 @@ from wpo.ordinal import (
     OMEGA,
     ONE,
     Ordinal,
+    OrdinalColumn,
     OrdinalParseError,
     ZERO,
     add,
@@ -154,6 +156,86 @@ class TestFormatParse:
         assert parse_ordinal(nested(MAX_NESTING)) == tower
         with pytest.raises(OrdinalParseError, match=f"nesting deeper than {MAX_NESTING}"):
             parse_ordinal(nested(MAX_NESTING + 1))
+
+
+def parse_outcome(parse, text):
+    """parse(text), or the type, message and position of its error."""
+    try:
+        return parse(text)
+    except OrdinalParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def column_outcomes(texts):
+    """Each text through one OrdinalColumn, checked against parse_ordinal."""
+    column = OrdinalColumn()
+    got = [parse_outcome(column.parse, t) for t in texts]
+    assert got == [parse_outcome(parse_ordinal, t) for t in texts]
+    return got
+
+
+DEEP = "w^(" * (MAX_NESTING + 1) + "w" + ")" * (MAX_NESTING + 1)
+
+# tails spliced onto a reused prefix: sums that may or may not decrease
+# from it, trailing input, zeros, stray '+' and nesting past the limit
+TAILS = st.one_of(
+    st.integers(0, 2**32).map(lambda seed: format_ordinal(rand_ordinal(random.Random(seed), 5))),
+    st.sampled_from(["", "0", "+", "1+", "w)", "5w", "w*0", "w^(w^2*3+1)", DEEP]),
+)
+
+
+class TestOrdinalColumn:
+    @pytest.mark.parametrize("m,base,n", [
+        (1, 2, 10), (1, 5, 10), (2, 2, 200), (2, 3, 200), (2, 5, 200),
+        (3, 2, 100), (3, 3, 100), (3, 5, 100),
+    ])
+    def test_descent_column(self, m, base, n):
+        records = generate(m, base, n).records
+        assert column_outcomes([format_ordinal(r.alpha) for r in records]) == [
+            r.alpha for r in records
+        ]
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_spliced_texts(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        texts = [format_ordinal(rand_ordinal(rng, 5))]
+        for _ in range(data.draw(st.integers(1, 6))):
+            prev = texts[-1]
+            cuts = [0, len(prev)] + [i + 1 for i, ch in enumerate(prev) if ch == "+"]
+            cut = data.draw(st.sampled_from(cuts) | st.integers(0, len(prev)))
+            text = prev[:cut] + data.draw(TAILS)
+            for i in sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=3)),
+                            reverse=True):
+                text = text[:i] + " " + text[i:]
+            texts.append(text)
+        column_outcomes(texts)
+
+    def test_each_kind_of_tail(self):
+        head = "w^(w^2+w*3)*2+w^(w+1)+w^3*4+"
+        texts = [
+            head + "w*2+7",
+            head + "w^(w+1)*5",       # no smaller than the term before it
+            head + "w*2+7)",          # trailing input
+            " w^(w^2+w*3)*2 + w^(w+1)+w^3*4+w",
+            "w^2+w",                  # shares no term with the text before
+            "0",                      # after a non-zero text
+            head + "0",
+            "w^2+" + DEEP,
+            head + "w^2",
+        ]
+        got = column_outcomes(texts)
+        errors = [(g[1], g[2]) for g in got if isinstance(g, tuple)]
+        assert errors == [
+            ("exponents must strictly decrease (at position 37)", 37),
+            ("trailing input (at position 33)", 33),
+            ("zero term in a sum (at position 29)", 29),
+            (f"exponent nesting deeper than {MAX_NESTING} (at position 306)", 306),
+        ]
+        assert got[0] == o("w^(w^2+w*3)*2+w^(w+1)+w^3*4+w*2+7") and got[5] == ZERO
+        # the terms of the prefix shared with the last text that parsed
+        # are kept, not parsed again
+        assert all(a is b for a, b in zip(got[3].terms[:3], got[0].terms))
 
 
 class TestArithmetic:
