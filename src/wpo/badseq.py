@@ -140,13 +140,14 @@ class _IdealFold:
 
     Consecutive descent steps only change a suffix of the construction
     order, so the complement points of the shared prefix are reused:
-    stack[k] holds the points outside the first k+1 boxes.
+    stack[k] holds the points outside the first k boxes, so stack[0] is
+    the origin alone, the complement of no box.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rects: list = []
-        self.stack: list = []
+        self.stack: list = [[(0,) * dim]]
 
     def ideal(self, rects) -> MonomialIdeal:
         k = 0
@@ -154,13 +155,11 @@ class _IdealFold:
         while k < limit and rects[k] == self.rects[k]:
             k += 1
         del self.rects[k:]
-        del self.stack[k:]
+        del self.stack[k + 1:]
         for r in rects[k:]:
-            prev = self.stack[-1] if self.stack else None
             self.rects.append(r)
-            self.stack.append(complement_points([r], self.dim, prev))
-        points = self.stack[-1] if self.stack else complement_points([], self.dim)
-        return MonomialIdeal(self.dim, tuple(points))
+            self.stack.append(complement_points([r], self.dim, self.stack[-1]))
+        return MonomialIdeal(self.dim, tuple(self.stack[-1]))
 
 
 @dataclass(frozen=True)

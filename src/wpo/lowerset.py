@@ -320,9 +320,6 @@ class PartialSpecification:
     domain: frozenset
     assignment: dict
 
-    def part(self, coords) -> GeneralLowerSet:
-        return self.assignment[frozenset(coords)]
-
 
 def trivial_specification(dim: int) -> PartialSpecification:
     empty0 = GeneralLowerSet.make(0, [])
@@ -406,7 +403,8 @@ def enumerate_fls(box):
     Walks the grid points in lexicographic (linear-extension) order;
     a point may be present only when all its immediate predecessors are,
     so leaving a point out ends its row (the points differing from it in
-    the last coordinate only).  Raises ValueError on a volume above
+    the last coordinate wider than 1 only; extent-1 coordinates are
+    always 0).  Raises ValueError on a volume above
     ENUMERATION_GUARD, at once on a volume of MAX_LOWER_SETS or more,
     and once more than MAX_LOWER_SETS sets have turned up.
     """
@@ -420,7 +418,7 @@ def enumerate_fls(box):
     if size >= MAX_LOWER_SETS:
         raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
     dim = len(box)
-    row = box[-1]
+    row = next((e for e in reversed(box) if e > 1), 1)
     points = sorted(product(*[range(e) for e in box]))
 
     preds = [
@@ -429,29 +427,22 @@ def enumerate_fls(box):
     ]
 
     chosen: set = set()
-    # the maximal chosen points, and how many chosen points cover each
-    covers = dict.fromkeys(points, 0)
-    tops: set = set()
+    tops: frozenset = frozenset()  # the maximal chosen points
     found = 0
     # explicit stack, deepest action last: ("visit", k) decides point k
     # with it left out first, which ends its row; ("add", k) and
-    # ("drop", k) bracket the branch that takes it.
-    stack = [("visit", 0)]
+    # ("drop", k, saved) bracket the branch that takes it.  The left-out
+    # branch unwinds before "add" pops, so ``saved``, the maximal points
+    # when the branch was scheduled, is what "drop" restores.
+    stack = [("visit", 0, None)]
     while stack:
-        action, k = stack.pop()
+        action, k, saved = stack.pop()
         if action == "add":
             chosen.add(points[k])
-            tops.add(points[k])
-            for q in preds[k]:
-                covers[q] += 1
-                tops.discard(q)
+            tops = tops.difference(preds[k]) | {points[k]}
         elif action == "drop":
             chosen.remove(points[k])
-            tops.remove(points[k])
-            for q in preds[k]:
-                covers[q] -= 1
-                if not covers[q]:
-                    tops.add(q)
+            tops = saved
         elif k == len(points):
             found += 1
             if found > MAX_LOWER_SETS:
@@ -459,8 +450,8 @@ def enumerate_fls(box):
             yield closure(list(tops), dim)
         else:
             if all(q in chosen for q in preds[k]):
-                stack += [("drop", k), ("visit", k + 1), ("add", k)]
-            stack.append(("visit", (k // row + 1) * row))
+                stack += [("drop", k, tops), ("visit", k + 1, None), ("add", k, None)]
+            stack.append(("visit", (k // row + 1) * row, None))
 
 
 def enumerate_gls(dim: int, extents, max_rects: int):

@@ -20,8 +20,11 @@ def minimal_points(points, dim: int) -> list:
 
     Uses a sweep in lexicographic order: a dominating (smaller) vector
     always sorts before the vectors it dominates, so one forward pass
-    with an antichain structure suffices.  dim <= 3 gets the
-    O(n log n) staircase treatment; larger dims fall back to a scan.
+    with an antichain structure suffices.  dim 1 to 3 get the
+    O(n log n) staircase treatment.  Other dims give each point one bit:
+    the points at or below p in coordinate t are a prefix of the sort on
+    t, and p is minimal exactly when the AND over t of those prefixes
+    holds p's bit alone (the points are distinct).
     """
     pts = sorted(set(points))
     if not pts:
@@ -54,11 +57,15 @@ def minimal_points(points, dim: int) -> list:
             ys[i:j] = [y]
             zs[i:j] = [z]
         return kept
-    kept = []
-    for p in pts:
-        if not any(dominates(p, q) for q in kept):
-            kept.append(p)
-    return kept
+    masks = [(1 << len(pts)) - 1] * len(pts)  # not -1: in dim 0, () keeps only its bit
+    for t in range(dim):
+        at_or_below = {}
+        acc = 0
+        for v, i in sorted((p[t], i) for i, p in enumerate(pts)):
+            acc |= 1 << i
+            at_or_below[v] = acc  # the last of equal values wins: ties are in
+        masks = [m & at_or_below[p[t]] for m, p in zip(masks, pts)]
+    return [p for i, p in enumerate(pts) if masks[i] == 1 << i]
 
 
 def maximal_points(points, dim: int) -> list:

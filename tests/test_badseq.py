@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -268,6 +269,15 @@ class TestGenerate:
         for i, rec in enumerate(run.records, start=1):
             assert rec.extent <= rec.norm <= (base + i) ** 2, rec.index
         assert verify_bad(run).ok
+        assert audit_run(run) == []
+
+    def test_four_dimensions_scale(self):
+        # the complement fold canonicalizes up to about 4000 raised
+        # points a record here, too many for a pairwise minimal_points
+        began = time.perf_counter()
+        run = generate(4, 1, 100)
+        assert time.perf_counter() - began < 10
+        assert len(run.records) == 100
         assert audit_run(run) == []
 
     def test_audit_clean(self):

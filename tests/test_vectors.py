@@ -1,0 +1,28 @@
+import random
+
+from wpo.vectors import dominates, minimal_points
+
+INF = float("inf")
+
+
+def brute_minimal(points):
+    pts = sorted(set(points))
+    return [p for p in pts if not any(q != p and dominates(p, q) for q in pts)]
+
+
+def test_minimal_points_matches_pairwise_filter():
+    # dims 1-3 take the sweeps, dims 0 and >= 4 the prefix masks; the
+    # infinite coordinates are what maximal_points feeds it, negated
+    rng = random.Random(2024)
+    coords = [-INF, INF] + list(range(-2, 5))
+    for dim in range(7):
+        for _ in range(150):
+            points = [tuple(rng.choice(coords) for _ in range(dim))
+                      for _ in range(rng.randint(0, 40))]
+            assert minimal_points(points, dim) == brute_minimal(points), (dim, points)
+
+
+def test_dimension_zero():
+    # intersection_image onto no coordinates asks for these
+    assert minimal_points([], 0) == []
+    assert minimal_points([(), ()], 0) == [()]
