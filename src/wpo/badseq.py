@@ -245,8 +245,8 @@ class BadnessReport:
 def verify_bad(run: DescentRun) -> BadnessReport:
     """Check every pair i<j for the forbidden inclusion D_i <= D_j.
 
-    Each pair is one big-int test on probe masks: D_i <= D_j iff
-    mask_i & ~mask_j == 0 (``inclusion_masks``, which proves it).
+    Each pair is one big-int test on box-dominance masks: D_i <= D_j
+    iff mask_i & ~mask_j == 0 (``inclusion_masks``, which proves it).
 
     Pairs are scanned row by row and the scan stops at the first
     inclusion, so ``pairs_checked`` counts the pairs up to and
@@ -398,6 +398,9 @@ def read_run(path: str) -> DescentRun:
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
+    base = headers["base"]
+    if not base.isdecimal() or int(base) < 1:
+        raise ValueError(f"header says base {base}, which is not an integer >= 1")
     declared = headers["records"]
     if not declared.isdigit() or int(declared) != len(records):
         raise ValueError(
@@ -405,7 +408,7 @@ def read_run(path: str) -> DescentRun:
         )
     return DescentRun(
         dim=int(headers["dim"]),
-        base=int(headers["base"]),
+        base=int(base),
         start=parse_ordinal(headers["start"]),
         records=tuple(records),
     )

@@ -68,8 +68,8 @@ def check_monotone(box) -> MonotoneReport:
 
     Every ordered pair of lower sets of the grid is examined; for the
     included ones the ranks must not reverse.  Inclusion is decided on
-    probe bitmasks (``inclusion_masks``), independently of the rank
-    construction.
+    box-dominance bitmasks (``inclusion_masks``), independently of the
+    rank construction.
     """
     box = tuple(box)
     sets = list(enumerate_fls(box))

@@ -4,7 +4,7 @@ A lower set is a GeneralLowerSet: a finite union of half-open boxes,
 each given by per-coordinate extents from N union {w}; a point p lies
 in a box when p[i] < extent[i] for every i.  The canonical form keeps
 exactly the maximal boxes, sorted, and it is unique: a box inside a
-union of boxes is inside a single one (the saturated-corner lemma of
+union of boxes is inside a single one (the lemma of
 ``inclusion_masks``), so a redundant box is one whose extents another
 box dominates.  The constructor accepts only the canonical form;
 ``make`` canonicalizes any list of boxes.
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .vectors import format_points, maximal_points, minimal_points, parse_points
+from .vectors import dominance_masks, format_points, maximal_points, minimal_points, parse_points
 
 UNBOUNDED = float("inf")
 
@@ -116,19 +116,15 @@ def inclusion_masks(sets) -> list:
     """One int per set, with sets[i] <= sets[j] iff
     ``masks[i] & ~masks[j] == 0``.
 
-    This is the saturated-corner lemma.  Fix B above every finite extent
-    in sight; the corner of a box r is e-1 at each finite extent e and B
-    at each unbounded one.  The corner is a point of r, and it lies in a
-    box s only when r fits inside s: e-1 < s[t] gives e <= s[t], and
-    B < s[t] forces s[t] = w.  So r lies inside a lower set iff its
-    corner does, and D <= E iff E holds the corner of every box of D.
-    One global B, 1 plus the largest finite extent of all the sets, is
-    exact for every pair at once.
+    A box lies inside a union of boxes only if it lies inside one of
+    them: its corner, e-1 at each finite extent e and far out at each
+    w, is one of its points and lies only in the boxes whose extents
+    dominate its own.  So D <= E iff every box of D lies below some box
+    of E, extent by extent.
 
-    Each distinct box of ``sets`` gives one probe bit at its corner.
-    Bit k of a set's mask says whether probe k lies in the set: the OR
-    over the set's boxes of the AND over the axes of the prefix masks
-    "corner coordinate t below extent t".
+    Bit k of a set's mask says that the k-th distinct box of ``sets``
+    lies below one of the set's boxes: the OR over its boxes of their
+    ``dominance_masks``.
     """
     sets = list(sets)
     if not sets:
@@ -136,33 +132,12 @@ def inclusion_masks(sets) -> list:
     for s in sets:
         _check_dim(sets[0], s)
     boxes = sorted({r for s in sets for r in s.rects})
-    if not boxes:
-        return [0] * len(sets)
-    bound = 1 + max(s.max_finite_extent for s in sets)
-    full = (1 << len(boxes)) - 1
-    prefix = []
-    for t in range(sets[0].dim):
-        corners = sorted((bound if r[t] == UNBOUNDED else r[t] - 1, k)
-                         for k, r in enumerate(boxes))
-        below = {UNBOUNDED: full}
-        acc = pos = 0
-        for v in sorted({r[t] for r in boxes} - {UNBOUNDED}):
-            while pos < len(corners) and corners[pos][0] < v:
-                acc |= 1 << corners[pos][1]
-                pos += 1
-            below[v] = acc
-        prefix.append(below)
-    box_mask = {}
-    for r in boxes:
-        m = full
-        for below, e in zip(prefix, r):
-            m &= below[e]
-        box_mask[r] = m
+    below = dict(zip(boxes, dominance_masks(boxes, sets[0].dim)))
     out = []
     for s in sets:
         m = 0
         for r in s.rects:
-            m |= box_mask[r]
+            m |= below[r]
         out.append(m)
     return out
 

@@ -46,6 +46,17 @@ class OracleReport:
         return out
 
 
+# Most grid points run_inclusion and run_ideal may walk.  rand_gls keeps
+# extents at or below 6, so every grid axis runs 0..7: 8**dim points a case.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _check_grid(cases: int, dim: int) -> None:
+    # past the cap's bit length 8**dim already exceeds it: no 8**(10**9)
+    if cases * 8 ** min(dim, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
+        raise ValueError(f"more than {MAX_GRID_POINTS} grid points: {cases} cases of 8^{dim}")
+
+
 def grid(bound: int, dim: int):
     return product(range(bound + 1), repeat=dim)
 
@@ -99,7 +110,9 @@ def naive_hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
 
 
 def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleReport:
-    """Inclusion (``lowerset.inclusion_masks``), union and intersection against the grid."""
+    """Inclusion (``lowerset.inclusion_masks``, by box dominance), union
+    and intersection against the grid."""
+    _check_grid(pairs, dim)
     rng = random.Random(seed)
     failures = []
     for k in range(pairs):
@@ -124,6 +137,7 @@ def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleRepor
 
 def run_ideal(dim: int = 2, samples: int = 500, seed: int = 0) -> OracleReport:
     """Membership law, round trip, antitonicity and the degree envelope."""
+    _check_grid(samples, dim)
     rng = random.Random(seed)
     failures = []
     prev = None

@@ -21,10 +21,9 @@ def minimal_points(points, dim: int) -> list:
     Uses a sweep in lexicographic order: a dominating (smaller) vector
     always sorts before the vectors it dominates, so one forward pass
     with an antichain structure suffices.  dim 1 to 3 get the
-    O(n log n) staircase treatment.  Other dims give each point one bit:
-    the points at or below p in coordinate t are a prefix of the sort on
-    t, and p is minimal exactly when the AND over t of those prefixes
-    holds p's bit alone (the points are distinct).
+    O(n log n) staircase treatment.  In other dims p is minimal exactly
+    when its ``dominance_masks`` mask holds its own bit alone (the
+    points are distinct).
     """
     pts = sorted(set(points))
     if not pts:
@@ -57,15 +56,29 @@ def minimal_points(points, dim: int) -> list:
             ys[i:j] = [y]
             zs[i:j] = [z]
         return kept
-    masks = [(1 << len(pts)) - 1] * len(pts)  # not -1: in dim 0, () keeps only its bit
+    masks = dominance_masks(pts, dim)
+    return [p for i, p in enumerate(pts) if masks[i] == 1 << i]
+
+
+def dominance_masks(points: list, dim: int) -> list:
+    """One int per point of the distinct ``points``: bit j of mask i is
+    set when points[j] <= points[i] in every coordinate.
+
+    The points at or below p in coordinate t are a prefix of the sort
+    on t; p's mask is the AND over t of those prefixes.  No points give
+    [] before any axis is read, so a huge ``dim`` costs nothing.
+    """
+    if not points:
+        return []
+    masks = [(1 << len(points)) - 1] * len(points)  # not -1: in dim 0, () keeps only its bit
     for t in range(dim):
         at_or_below = {}
         acc = 0
-        for v, i in sorted((p[t], i) for i, p in enumerate(pts)):
+        for v, i in sorted((p[t], i) for i, p in enumerate(points)):
             acc |= 1 << i
             at_or_below[v] = acc  # the last of equal values wins: ties are in
-        masks = [m & at_or_below[p[t]] for m, p in zip(masks, pts)]
-    return [p for i, p in enumerate(pts) if masks[i] == 1 << i]
+        masks = [m & at_or_below[p[t]] for m, p in zip(masks, points)]
+    return masks
 
 
 def maximal_points(points, dim: int) -> list:

@@ -360,7 +360,7 @@ class TestVerifyBad:
 
     def test_masks_decide_every_pair(self):
         rng = random.Random(17)
-        for dim in (1, 2, 3):
+        for dim in (0, 1, 2, 3, 4, 5):
             sets = [rand_gls(rng, dim, max_extent=4) for _ in range(12)]
             sets += [GeneralLowerSet.make(dim, []), full_space(dim)]
             masks = inclusion_masks(sets)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wpo import badseq, linearize
+from wpo import badseq, linearize, oracles
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import main
 from wpo.lowerset import closure
@@ -215,6 +215,17 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "60" in err and "23" in err
 
+    @pytest.mark.parametrize("base", ["-3", "0"])
+    def test_base_below_one_rejected(self, capsys, tmp_path, base):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        text = path.read_text()
+        assert "\n# base: 2\n" in text
+        path.write_text(text.replace("\n# base: 2\n", f"\n# base: {base}\n"))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: header says base {base}, which is not an integer >= 1\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/no/such/file.rec")
         assert code == 2 and err.startswith("error:")
@@ -354,6 +365,16 @@ class TestOracleCommand:
         assert time.perf_counter() - began < 1
         assert code == 2 and out == ""
         assert err == "error: more than 100000 combinations of at most 3 of 256 boxes\n"
+
+    @pytest.mark.parametrize("suite", ["inclusion", "ideal"])
+    def test_grid_too_large(self, capsys, suite):
+        # 1000 cases of 8^4 grid points each: refused before the first
+        assert oracles.MAX_GRID_POINTS == 1_000_000
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", suite, "--m", "4")
+        assert time.perf_counter() - began < 0.5
+        assert code == 2 and out == ""
+        assert err == "error: more than 1000000 grid points: 1000 cases of 8^4\n"
 
     def test_bad_box(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "monotone", "--box", "0x4")

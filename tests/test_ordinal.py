@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal
-from wpo.badseq import generate
+from wpo.badseq import descent_start, generate
 from wpo.oracles import naive_hardy
 from wpo.ordinal import (
     HardyOutcome,
@@ -416,3 +417,16 @@ class TestTypeFormulas:
             start = predecessor(general_type(m))
             assert is_limit(start)
             assert len(start.terms) == 1 and start.terms[0][1] == 1
+
+    def test_one_block_per_coordinate_subset(self):
+        # each nonempty S of the m coordinates adds w^(|S|-1) to the
+        # exponent of descent_start(m), and the general type is 1 plus
+        # the natural product over S of the bounded types w^(w^(|S|-1))
+        for m in range(1, 9):
+            exponent, product = ZERO, ONE
+            for size in range(1, m + 1):
+                for _ in combinations(range(m), size):
+                    exponent = natural_sum(exponent, omega_pow(from_int(size - 1)))
+                    product = natural_product(product, bounded_type(size))
+            assert omega_pow(exponent) == descent_start(m)
+            assert general_type(m) == natural_sum(ONE, product)

@@ -1,6 +1,6 @@
 import random
 
-from wpo.vectors import dominates, minimal_points
+from wpo.vectors import dominance_masks, dominates, minimal_points
 
 INF = float("inf")
 
@@ -12,7 +12,8 @@ def brute_minimal(points):
 
 def test_minimal_points_matches_pairwise_filter():
     # dims 1-3 take the sweeps, dims 0 and >= 4 the prefix masks; the
-    # infinite coordinates are what maximal_points feeds it, negated
+    # infinite coordinates are what maximal_points feeds it, negated,
+    # and what inclusion_masks feeds the masks as w extents
     rng = random.Random(2024)
     coords = [-INF, INF] + list(range(-2, 5))
     for dim in range(7):
@@ -20,6 +21,12 @@ def test_minimal_points_matches_pairwise_filter():
             points = [tuple(rng.choice(coords) for _ in range(dim))
                       for _ in range(rng.randint(0, 40))]
             assert minimal_points(points, dim) == brute_minimal(points), (dim, points)
+            distinct = list(set(points))
+            masks = dominance_masks(distinct, dim)
+            assert len(masks) == len(distinct)
+            for m, p in zip(masks, distinct):
+                for j, q in enumerate(distinct):
+                    assert (m >> j & 1) == dominates(p, q), (dim, p, q)
 
 
 def test_dimension_zero():
