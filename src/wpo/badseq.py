@@ -22,15 +22,19 @@ their ordinals: extent <= norm at every record.
 """
 
 import os
+from bisect import bisect_left, insort
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 from .lowerset import (
     GeneralLowerSet,
     UNBOUNDED,
+    _trusted,
     complement_points,
+    extends_antichain,
+    format_box,
     format_gls,
     inclusion_masks,
     parse_gls,
@@ -40,13 +44,16 @@ from .ordinal import (
     Ordinal,
     OrdinalColumn,
     ZERO,
+    common_prefix,
     format_ordinal,
+    format_ordinals,
     fundamental,
     general_type,
     is_limit,
     parse_ordinal,
     predecessor,
 )
+from .vectors import format_point
 
 
 def descent_start(dim: int) -> Ordinal:
@@ -86,13 +93,31 @@ def shape_from_ordinal(alpha: Ordinal, dim: int):
     The norm is the sum of the coefficients plus the largest position
     digit.  Raises ValueError when alpha is not below descent_start(dim).
     """
-    rects = []
-    seen = [0] * dim  # largest finite extent a coordinate, every box so far
-    reach: list = []  # the same over the boxes of lower levels, set per level
-    level = 0
-    block = None
-    acc = total = top = 0
-    for e, c in alpha.terms:
+    rects, state = [], _stair_start(dim)
+    for box, state in _staircase(alpha, dim, state, alpha.terms):
+        rects.append(box)
+    return rects, _norm(state)
+
+
+def _stair_start(dim: int) -> tuple:
+    """The staircase state before the first term: (seen, reach, level,
+    block, acc, total, top), named as in ``_staircase``."""
+    return [0] * dim, [], 0, None, 0, 0, 0
+
+
+def _norm(state: tuple) -> int:
+    return state[5] + state[6]
+
+
+def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
+    """Yield the box of each of ``terms`` of ``alpha`` with the state
+    after it, starting from ``state``, the state after the terms before
+    them.  A yielded state is never changed afterwards, so the next
+    ordinal can resume from it."""
+    seen, reach, level, block, acc, total, top = state
+    # seen: largest finite extent a coordinate, every box so far; reach:
+    # the same over the boxes of lower levels, set per level
+    for e, c in terms:
         digits = [0] * dim
         for f, d in e.terms:
             k = f.terms
@@ -108,7 +133,7 @@ def shape_from_ordinal(alpha: Ordinal, dim: int):
                 raise ValueError(f"{alpha} is not below {descent_start(dim)}")
             j -= 1
         if j != level:
-            level, reach = j, seen[:]
+            level, reach = j, seen
         s = _subset(dim, j, size - 1 - d)
         if s != block:
             block, acc = s, 0
@@ -124,11 +149,11 @@ def shape_from_ordinal(alpha: Ordinal, dim: int):
                 box[t] = reach[t] + p + 2
             t = s[-1]
             box[t] = reach[t] + acc + 2
+        seen = seen[:]
         for t in s:
             if box[t] > seen[t]:
                 seen[t] = box[t]
-        rects.append(tuple(box))
-    return rects, total + top
+        yield tuple(box), (seen, reach, level, block, acc, total, top)
 
 
 def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
@@ -136,30 +161,53 @@ def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
 
 
 class _IdealFold:
-    """Incremental complement ideal of a growing-prefix box list.
+    """Derives the staircase, lower set and complement ideal of each
+    ordinal of a run from those of the ordinal before.
 
-    Consecutive descent steps only change a suffix of the construction
-    order, so the complement points of the shared prefix are reused:
-    stack[k] holds the points outside the first k boxes, so stack[0] is
-    the origin alone, the complement of no box.
+    Consecutive ordinals of a descent share all but a short tail of
+    their terms, so the fold keeps, after the first k terms of the last
+    ordinal: the staircase state (``states[k]``), the minimal points
+    outside the first k boxes (``outside[k]``; ``outside[0]`` is the
+    origin alone, the complement of no box), and, while the first k
+    boxes are an antichain, their sorted list, which is then the
+    canonical lower set.  An ordinal resumes after the terms it shares
+    with the one before: the fold drops the rest, then takes the new
+    terms one at a time, each once its box is built, so a term that
+    raises leaves the fold holding the terms before it.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
+        self.terms: list = []
         self.rects: list = []
-        self.stack: list = [[(0,) * dim]]
+        self.states: list = [_stair_start(dim)]
+        self.outside: list = [[(0,) * dim]]
+        self.boxes: list = []  # sorted rects[:clean]: a checked antichain
+        self.clean = 0
 
-    def ideal(self, rects) -> MonomialIdeal:
-        k = 0
-        limit = min(len(rects), len(self.rects))
-        while k < limit and rects[k] == self.rects[k]:
-            k += 1
-        del self.rects[k:]
-        del self.stack[k + 1:]
-        for r in rects[k:]:
-            self.rects.append(r)
-            self.stack.append(complement_points([r], self.dim, self.stack[-1]))
-        return MonomialIdeal(self.dim, tuple(self.stack[-1]))
+    def derive(self, alpha: Ordinal):
+        """The lower set, norm and complement ideal of alpha's staircase."""
+        dim = self.dim
+        k = common_prefix(self.terms, alpha.terms)
+        for r in self.rects[k:self.clean]:
+            del self.boxes[bisect_left(self.boxes, r)]
+        self.clean = min(self.clean, k)
+        del self.terms[k:], self.rects[k:], self.states[k + 1:], self.outside[k + 1:]
+        tail = alpha.terms[k:]
+        for term, (box, state) in zip(tail, _staircase(alpha, dim, self.states[-1], tail)):
+            outside = complement_points([box], dim, self.outside[-1])
+            if self.clean == len(self.rects) and extends_antichain(self.boxes, box, dim):
+                insort(self.boxes, box)
+                self.clean += 1
+            self.terms.append(term)
+            self.rects.append(box)
+            self.states.append(state)
+            self.outside.append(outside)
+        if self.clean == len(self.rects):
+            lset = _trusted(GeneralLowerSet, dim=dim, rects=tuple(self.boxes))
+        else:
+            lset = GeneralLowerSet.make(dim, self.rects)
+        return lset, _norm(self.states[-1]), MonomialIdeal(dim, tuple(self.outside[-1]))
 
 
 @dataclass(frozen=True)
@@ -187,12 +235,9 @@ def _step(alpha: Ordinal, x: int) -> Ordinal:
     return fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
 
 
-def _derive(dim: int, base: int, index: int, alpha: Ordinal,
-            fold: _IdealFold) -> BadSequenceRecord:
+def _derive(base: int, index: int, alpha: Ordinal, fold: _IdealFold) -> BadSequenceRecord:
     """The record a run stores for ``alpha`` at ``index``."""
-    rects, norm = shape_from_ordinal(alpha, dim)
-    lset = GeneralLowerSet.make(dim, rects)
-    ideal = fold.ideal(rects)
+    lset, norm, ideal = fold.derive(alpha)
     return BadSequenceRecord(
         index=index,
         alpha=alpha,
@@ -216,7 +261,7 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
     records = []
     for i in range(1, limit + 1):
         alpha = _step(alpha, base + i - 1)
-        records.append(_derive(dim, base, i, alpha, fold))
+        records.append(_derive(base, i, alpha, fold))
         if alpha == ZERO:
             break
     return DescentRun(dim, base, start, tuple(records))
@@ -292,8 +337,10 @@ def audit_run(run: DescentRun) -> list:
         tag = f"record {rec.index}"
         if rec.alpha != alpha:
             problems.append(f"{tag}: ordinal {rec.alpha} is not the descent value {alpha}")
-            alpha = rec.alpha  # keep auditing the stored trajectory
-        want = _derive(run.dim, run.base, rec.index, rec.alpha, fold)
+        # keep auditing the stored trajectory; when the two are equal,
+        # the next step then shares its terms with the next record's
+        alpha = rec.alpha
+        want = _derive(run.base, rec.index, rec.alpha, fold)
         for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
             got, exp = getattr(rec, name), getattr(want, name)
             if got != exp:
@@ -325,16 +372,20 @@ def run_lines(run: DescentRun) -> list:
         f"# length-bound: {symbolic_length_bound(run.dim, run.base)}",
         f"# columns: {_COLUMNS}",
     ]
-    for r in run.records:
+    # consecutive records share most terms, boxes and generators, so
+    # each is formatted once a run
+    box, point = cache(format_box), cache(format_point)
+    ordinals = format_ordinals(r.alpha for r in run.records)
+    for r, ordinal in zip(run.records, ordinals):
         lines.append(
             "|".join(
                 [
                     str(r.index),
-                    format_ordinal(r.alpha),
-                    format_gls(r.lower_set),
+                    ordinal,
+                    format_gls(r.lower_set, box),
                     str(r.norm),
                     str(r.extent),
-                    format_ideal(r.ideal),
+                    format_ideal(r.ideal, point),
                     str(r.degree),
                     str(r.bound),
                 ]
@@ -359,9 +410,17 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
+def _positive_header(headers: dict, key: str) -> int:
+    text = headers[key]
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"header says {key} {text}, which is not an integer >= 1")
+    return int(text)
+
+
 def read_run(path: str) -> DescentRun:
     headers = {}
     records = []
+    dim = None  # read from its header before the first record
     # consecutive records of a descent share all but a short tail of
     # their ordinal's text, so each parse resumes where the texts differ
     ordinals = OrdinalColumn()
@@ -379,7 +438,8 @@ def read_run(path: str) -> DescentRun:
             cols = line.split("|")
             if len(cols) != 8 or "dim" not in headers:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
-            dim = int(headers["dim"])
+            if dim is None:
+                dim = _positive_header(headers, "dim")
             try:
                 records.append(
                     BadSequenceRecord(
@@ -398,17 +458,17 @@ def read_run(path: str) -> DescentRun:
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
-    base = headers["base"]
-    if not base.isdecimal() or int(base) < 1:
-        raise ValueError(f"header says base {base}, which is not an integer >= 1")
+    if dim is None:
+        dim = _positive_header(headers, "dim")
+    base = _positive_header(headers, "base")
     declared = headers["records"]
     if not declared.isdigit() or int(declared) != len(records):
         raise ValueError(
             f"header says {declared} records but the file holds {len(records)}"
         )
     return DescentRun(
-        dim=int(headers["dim"]),
-        base=int(base),
+        dim=dim,
+        base=base,
         start=parse_ordinal(headers["start"]),
         records=tuple(records),
     )

@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import ge, le, lt
 
 from .vectors import dominance_masks, format_points, maximal_points, minimal_points, parse_points
 
@@ -54,6 +55,17 @@ def _check_boxes(rects, dim: int) -> None:
             (isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in r
         ):
             raise ValueError(f"bad box {r} for dimension {dim}")
+
+
+def extends_antichain(boxes, box: Rect, dim: int) -> bool:
+    """Whether the sorted maximal ``boxes`` plus ``box`` are the maximal
+    boxes of their union, as ``make`` would keep them: ``box`` has no 0
+    extent and lies neither below nor above any of ``boxes``.  Raises
+    ValueError, as ``make`` does, on a box that is not one."""
+    if 0 in box:
+        return False
+    _check_boxes((box,), dim)
+    return not any(all(map(le, box, r)) or all(map(ge, box, r)) for r in boxes)
 
 
 @dataclass(frozen=True)
@@ -207,16 +219,27 @@ def complement_points(rects, dim: int, outside=None) -> list:
 
     ``outside`` holds the minimal points outside some earlier boxes
     (default: the origin, outside no box) and the result continues from
-    it: a point stays outside box r exactly when it reaches r's extent
-    in some finite coordinate, so each box raises one finite coordinate
-    of every point kept so far.  A box unbounded everywhere leaves
-    nothing outside.
+    it.  A point outside box r stays, and stays minimal: no point left
+    lies below it.  A point p inside r leaves, and each finite extent e
+    of r, in coordinate t, raises it to q = p with e at t.  A point that
+    stays and lies below q holds e at t, since p is inside r in every
+    other coordinate, so q is checked only against those.  A box
+    unbounded everywhere leaves nothing outside.
     """
     points = [(0,) * dim] if outside is None else list(outside)
     for r in rects:
-        raised = [p[:t] + (max(p[t], e),) + p[t + 1:]
-                  for p in points for t, e in enumerate(r) if e != UNBOUNDED]
-        points = minimal_points(raised, dim)
+        kept, inside = [], []
+        for p in points:
+            (inside if all(map(lt, p, r)) else kept).append(p)
+        raised = []
+        for t, e in enumerate(r):
+            if e != UNBOUNDED and inside:
+                level = [g for g in kept if g[t] == e]
+                for p in inside:
+                    q = p[:t] + (e,) + p[t + 1:]
+                    if not any(all(map(ge, q, g)) for g in level):
+                        raised.append(q)
+        points = sorted(kept + minimal_points(raised, dim))
     return points
 
 
@@ -484,10 +507,16 @@ def _extent_str(e) -> str:
     return "w" if e == UNBOUNDED else str(e)
 
 
-def format_gls(s: GeneralLowerSet) -> str:
+def format_box(r: Rect) -> str:
+    return "[" + ",".join(_extent_str(e) for e in r) + "]"
+
+
+def format_gls(s: GeneralLowerSet, box=format_box) -> str:
+    """``[1,w]u[3,2]``, with ``box`` giving each box's text: a memo of
+    ``format_box`` formats each box of a run once."""
     if not s.rects:
         return "empty"
-    return "u".join("[" + ",".join(_extent_str(e) for e in r) + "]" for r in s.rects)
+    return "u".join(map(box, s.rects))
 
 
 def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:

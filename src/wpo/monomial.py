@@ -13,7 +13,7 @@ from_complement); this module wraps its points in ideals.
 from dataclasses import dataclass
 
 from .lowerset import GeneralLowerSet, _trusted, complement_points, from_complement
-from .vectors import dominates, format_points, minimal_points, parse_points
+from .vectors import dominates, format_point, format_points, minimal_points, parse_points
 
 _VARS = ("X", "Y", "Z")
 
@@ -93,8 +93,8 @@ def complement_lowerset(i: MonomialIdeal) -> GeneralLowerSet:
     return from_complement(i.gens, i.dim)
 
 
-def format_ideal(i: MonomialIdeal) -> str:
-    return "0" if i.is_zero else format_points(i.gens)
+def format_ideal(i: MonomialIdeal, point=format_point) -> str:
+    return "0" if i.is_zero else format_points(i.gens, point)
 
 
 def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:

@@ -353,24 +353,46 @@ def general_type(m: int) -> Ordinal:
 # text form
 
 
+def format_term(exp: Ordinal, coeff: int) -> str:
+    """The text of one term w^exp*coeff of a normal form."""
+    if not exp:
+        return str(coeff)
+    if exp == ONE:
+        head = "w"
+    elif exp.is_finite:
+        head = f"w^{exp.as_int()}"
+    elif exp == OMEGA:
+        head = "w^w"
+    else:
+        head = f"w^({format_ordinal(exp)})"
+    return head if coeff == 1 else f"{head}*{coeff}"
+
+
 def format_ordinal(a: Ordinal) -> str:
     if not a.terms:
         return "0"
-    parts = []
-    for exp, coeff in a.terms:
-        if not exp:
-            parts.append(str(coeff))
-            continue
-        if exp == ONE:
-            head = "w"
-        elif exp.is_finite:
-            head = f"w^{exp.as_int()}"
-        elif exp == OMEGA:
-            head = "w^w"
-        else:
-            head = f"w^({format_ordinal(exp)})"
-        parts.append(head if coeff == 1 else f"{head}*{coeff}")
-    return "+".join(parts)
+    return "+".join([format_term(exp, coeff) for exp, coeff in a.terms])
+
+
+def common_prefix(xs, ys) -> int:
+    """How many leading items the sequences ``xs`` and ``ys`` share."""
+    k, limit = 0, min(len(xs), len(ys))
+    while k < limit and xs[k] == ys[k]:
+        k += 1
+    return k
+
+
+def format_ordinals(alphas):
+    """Yield ``format_ordinal`` of each of ``alphas``, formatting only
+    the terms after those an ordinal shares with the one before it, as
+    consecutive records of a descent do."""
+    terms, texts = (), []
+    for a in alphas:
+        k = common_prefix(terms, a.terms)
+        del texts[k:]
+        texts += [format_term(exp, coeff) for exp, coeff in a.terms[k:]]
+        terms = a.terms
+        yield "+".join(texts) if texts else "0"
 
 
 # Deepest exponent nesting parse_ordinal accepts.  The parser and the

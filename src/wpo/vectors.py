@@ -87,8 +87,14 @@ def maximal_points(points, dim: int) -> list:
     return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
 
 
-def format_points(points) -> str:
-    return ";".join("(" + ",".join(map(str, p)) + ")" for p in points)
+def format_point(p: tuple) -> str:
+    return "(" + ",".join(map(str, p)) + ")"
+
+
+def format_points(points, point=format_point) -> str:
+    """``(0,1);(1,0)``, with ``point`` giving each point's text: a
+    memo of ``format_point`` formats each point of a run once."""
+    return ";".join(map(point, points))
 
 
 def parse_points(text: str, dim: int | None, what: str) -> list:

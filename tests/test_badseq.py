@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -29,9 +30,17 @@ from wpo.lowerset import (
     full_space,
     inclusion_masks,
 )
-from wpo.monomial import unit_ideal
+from wpo.monomial import complement_ideal, format_ideal, unit_ideal
 from wpo.oracles import brute_includes, rand_gls
-from wpo.ordinal import ZERO, compare, format_ordinal, fundamental, parse_ordinal
+from wpo.ordinal import (
+    Ordinal,
+    ZERO,
+    compare,
+    format_ordinal,
+    fundamental,
+    omega_pow,
+    parse_ordinal,
+)
 
 W = UNBOUNDED
 
@@ -62,6 +71,13 @@ def includes_scan(sets, included=None):
             if included(sets[i], sets[j]):
                 return BadnessReport(len(sets), pairs, (i + 1, j + 1))
     return BadnessReport(len(sets), pairs, None)
+
+
+def record_text(r):
+    """The record line of ``r``, formatted column by column from scratch."""
+    return "|".join([str(r.index), format_ordinal(r.alpha), format_gls(r.lower_set),
+                     str(r.norm), str(r.extent), format_ideal(r.ideal), str(r.degree),
+                     str(r.bound)])
 
 
 # first records of the dimension-2 base-2 run, derived by hand
@@ -184,6 +200,88 @@ class TestStaircase:
             assert len(GeneralLowerSet.make(dim, rects).rects) == len(rects)
 
 
+def ordinal_walk(rng, dim, length):
+    """Ordinals below descent_start(dim) in the orders a run and an
+    audit of a tampered file meet them: descent steps, repeats (the same
+    object, or an equal one parsed anew), jumps to an unrelated ordinal,
+    and a kept prefix of the ordinal before with a new tail."""
+    alpha = rand_staircase_ordinal(rng, dim, max_terms=6)
+    walk = [alpha]
+    for _ in range(length):
+        move = rng.random()
+        if move < 0.4 and alpha:
+            alpha = badseq._step(alpha, rng.randint(1, 4))
+        elif move < 0.5:
+            alpha = parse_ordinal(format_ordinal(alpha))
+        elif move < 0.6:
+            pass
+        elif move < 0.75:
+            alpha = rand_staircase_ordinal(rng, dim, max_terms=6)
+        else:
+            head = alpha.terms[:rng.randint(0, len(alpha.terms))]
+            tail = [t for t in rand_staircase_ordinal(rng, dim, max_terms=6).terms
+                    if not head or compare(t[0], head[-1][0]) < 0]
+            alpha = Ordinal(head + tuple(tail))
+        walk.append(alpha)
+    return walk
+
+
+def check_derivations(dim, alphas):
+    """Derive ``alphas`` through one fold and compare each record, and
+    its line in ``run_lines``, with a derivation from scratch."""
+    fold = badseq._IdealFold(dim)
+    records = []
+    for alpha in alphas:
+        try:
+            rects, norm = shape_from_ordinal(alpha, dim)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                fold.derive(alpha)
+            continue
+        lset = GeneralLowerSet.make(dim, rects)
+        rec = badseq._derive(2, len(records) + 1, alpha, fold)
+        assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
+        assert rec.extent == lset.max_finite_extent
+        records.append(rec)
+    lines = run_lines(DescentRun(dim, 2, descent_start(dim), tuple(records)))
+    assert lines[7:] == [record_text(r) for r in records]
+
+
+class TestDeriver:
+    """The fold derives each record from the one before it exactly as
+    from scratch, whatever the previous ordinal was."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_walks_match_derivation_from_scratch(self, dim):
+        rng = random.Random(900 + dim)
+        for _ in range(25):
+            check_derivations(dim, ordinal_walk(rng, dim, 30))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_ordinal_not_below_the_start_leaves_the_fold_whole(self, dim):
+        rng = random.Random(950 + dim)
+        top = omega_pow(omega_pow(dim))
+        for _ in range(10):
+            walk = ordinal_walk(rng, dim, 12)
+            k = rng.randint(1, len(walk) - 1)
+            bad = rng.choice([descent_start(dim), top, top + walk[k]])
+            check_derivations(dim, walk[:k] + [bad] + walk[k:])
+
+    def test_make_fallback(self, monkeypatch):
+        # staircase boxes are always an antichain, so make alone would
+        # never run: refuse some boxes at random to reach it
+        rng = random.Random(977)
+        fits = badseq.extends_antichain
+        monkeypatch.setattr(badseq, "extends_antichain",
+                            lambda boxes, box, dim: rng.random() < 0.7 and fits(boxes, box, dim))
+        for dim in (2, 3):
+            for _ in range(10):
+                check_derivations(dim, ordinal_walk(rng, dim, 30))
+        run = generate(3, 2, 60)
+        monkeypatch.undo()
+        assert run == generate(3, 2, 60)
+
+
 class TestGenerate:
     def test_start_ordinals(self):
         assert format_ordinal(descent_start(2)) == "w^(w+2)"
@@ -272,8 +370,8 @@ class TestGenerate:
         assert audit_run(run) == []
 
     def test_four_dimensions_scale(self):
-        # the complement fold canonicalizes up to about 4000 raised
-        # points a record here, too many for a pairwise minimal_points
+        # the complement fold canonicalizes up to about 500 raised
+        # points a box here, too many for a pairwise minimal_points
         began = time.perf_counter()
         run = generate(4, 1, 100)
         assert time.perf_counter() - began < 10
@@ -444,6 +542,18 @@ class TestRecordFiles:
         write_run(run, str(path))
         back = read_run(str(path))
         assert back == run
+
+    def test_text_column_on_a_run_read_back(self, tmp_path):
+        path = tmp_path / "run.rec"
+        write_run(generate(3, 2, 40), str(path))
+        back = read_run(str(path))
+        assert run_lines(back) == path.read_text().splitlines()
+        # each ordinal parsed on its own: equal terms that are never the
+        # same objects as the terms of the record before
+        alone = replace(back, records=tuple(
+            replace(r, alpha=parse_ordinal(format_ordinal(r.alpha))) for r in back.records))
+        for run in (back, alone):
+            assert run_lines(run)[7:] == [record_text(r) for r in run.records]
 
     def test_bit_exact(self, tmp_path):
         run = generate(2, 2, 30)

@@ -226,6 +226,17 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: header says base {base}, which is not an integer >= 1\n"
 
+    @pytest.mark.parametrize("dim", ["abc", "0", "-2"])
+    def test_dim_header_not_a_dimension(self, capsys, tmp_path, dim):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        text = path.read_text()
+        assert "\n# dim: 2\n" in text
+        path.write_text(text.replace("\n# dim: 2\n", f"\n# dim: {dim}\n"))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: header says dim {dim}, which is not an integer >= 1\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/no/such/file.rec")
         assert code == 2 and err.startswith("error:")

@@ -20,6 +20,7 @@ from wpo.lowerset import (
     decompose_parts,
     enumerate_fls,
     enumerate_gls,
+    extends_antichain,
     format_fls,
     format_gls,
     from_finite,
@@ -37,7 +38,7 @@ from wpo.lowerset import (
     validate_specification,
 )
 from wpo.oracles import brute_equal, brute_includes, grid, grid_bound, rand_gls, rand_proper_gls
-from wpo.vectors import maximal_points
+from wpo.vectors import maximal_points, minimal_points
 
 W = UNBOUNDED
 
@@ -161,6 +162,25 @@ class TestCanonicalForm:
                 s = rand_gls(rng, dim, max_rects=8)
                 assert GeneralLowerSet(s.dim, s.rects) == s
 
+    @pytest.mark.parametrize("box,fits", [
+        ((2, W, 3), True),    # incomparable to every kept box
+        ((1, 1, 1), False),   # below (1, W, 5)
+        ((1, W, 6), False),   # above (1, W, 5)
+        ((4, 4, 4), False),   # equal to a kept box
+        ((5, 0, 9), False),   # a 0 extent: make drops the box
+    ])
+    def test_extends_antichain(self, box, fits):
+        kept = [(1, W, 5), (4, 4, 4), (W, 2, 1)]
+        assert list(GeneralLowerSet.make(3, kept).rects) == kept
+        assert extends_antichain(kept, box, 3) is fits
+        # fits exactly when the sorted list is what make keeps
+        assert (GeneralLowerSet.make(3, kept + [box]).rects == tuple(sorted(kept + [box]))) is fits
+
+    @pytest.mark.parametrize("box", [(1, -1, 2), (1.5, 2, 2), (1, 2)])
+    def test_extends_antichain_rejects_bad_boxes(self, box):
+        with pytest.raises(ValueError, match=r"bad box .* for dimension 3"):
+            extends_antichain([(2, 2, 2)], box, 3)
+
     def test_member(self):
         s = GeneralLowerSet.make(2, [(2, W), (W, 2)])
         assert s.member((1, 10**9)) and s.member((10**9, 1))
@@ -270,6 +290,27 @@ class TestProjection:
             k = rng.randint(0, len(rects))
             prefix = complement_points(rects[:k], dim)
             assert complement_points(rects[k:], dim, prefix) == complement_points(rects, dim)
+
+    def test_complement_points_match_raising_every_point(self):
+        # the reference raises every point at every finite extent of
+        # each box, not only the points inside it
+        def raise_all(rects, dim, outside):
+            for r in rects:
+                outside = minimal_points(
+                    [p[:t] + (max(p[t], e),) + p[t + 1:]
+                     for p in outside for t, e in enumerate(r) if e != W], dim)
+            return outside
+
+        rng = random.Random(47)
+        for _ in range(600):
+            dim = rng.randint(0, 4)
+            rects = [tuple(W if rng.random() < 0.25 else rng.randint(0, 7) for _ in range(dim))
+                     for _ in range(rng.randint(0, 8))]
+            k = rng.randint(0, len(rects))
+            origin = [(0,) * dim]
+            outside = raise_all(rects[:k], dim, origin)
+            assert complement_points(rects[:k], dim) == outside
+            assert complement_points(rects[k:], dim, outside) == raise_all(rects, dim, origin)
 
     def test_intersection_image_pinned(self):
         s = GeneralLowerSet.make(2, [(1, W), (3, 2)])
