@@ -30,6 +30,7 @@ from math import comb
 
 from .lowerset import (
     GeneralLowerSet,
+    LowerSetColumn,
     UNBOUNDED,
     _trusted,
     complement_points,
@@ -39,7 +40,7 @@ from .lowerset import (
     inclusion_masks,
     parse_gls,
 )
-from .monomial import MonomialIdeal, format_ideal, parse_ideal
+from .monomial import IdealColumn, MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
     OrdinalColumn,
@@ -186,7 +187,8 @@ class _IdealFold:
         self.clean = 0
 
     def derive(self, alpha: Ordinal):
-        """The lower set, norm and complement ideal of alpha's staircase."""
+        """The lower set, norm, extent and complement ideal of alpha's
+        staircase."""
         dim = self.dim
         k = common_prefix(self.terms, alpha.terms)
         for r in self.rects[k:self.clean]:
@@ -203,11 +205,14 @@ class _IdealFold:
             self.rects.append(box)
             self.states.append(state)
             self.outside.append(outside)
+        state = self.states[-1]
         if self.clean == len(self.rects):
             lset = _trusted(GeneralLowerSet, dim=dim, rects=tuple(self.boxes))
+            extent = max(state[0], default=0)  # seen: every box is in the set
         else:
             lset = GeneralLowerSet.make(dim, self.rects)
-        return lset, _norm(self.states[-1]), MonomialIdeal(dim, tuple(self.outside[-1]))
+            extent = lset.max_finite_extent
+        return lset, _norm(state), extent, MonomialIdeal(dim, tuple(self.outside[-1]))
 
 
 @dataclass(frozen=True)
@@ -237,13 +242,13 @@ def _step(alpha: Ordinal, x: int) -> Ordinal:
 
 def _derive(base: int, index: int, alpha: Ordinal, fold: _IdealFold) -> BadSequenceRecord:
     """The record a run stores for ``alpha`` at ``index``."""
-    lset, norm, ideal = fold.derive(alpha)
+    lset, norm, extent, ideal = fold.derive(alpha)
     return BadSequenceRecord(
         index=index,
         alpha=alpha,
         lower_set=lset,
         norm=norm,
-        extent=lset.max_finite_extent,
+        extent=extent,
         ideal=ideal,
         degree=ideal.degree(),
         bound=(base + index) ** 2,
@@ -410,10 +415,10 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
-def _positive_header(headers: dict, key: str) -> int:
+def _header_int(headers: dict, key: str, least: int) -> int:
     text = headers[key]
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"header says {key} {text}, which is not an integer >= 1")
+    if not (text.isascii() and text.isdecimal()) or int(text) < least:
+        raise ValueError(f"header says {key} {text}, which is not an integer >= {least}")
     return int(text)
 
 
@@ -422,7 +427,9 @@ def read_run(path: str) -> DescentRun:
     records = []
     dim = None  # read from its header before the first record
     # consecutive records of a descent share all but a short tail of
-    # their ordinal's text, so each parse resumes where the texts differ
+    # their ordinal's text, so each parse resumes where the texts differ,
+    # and most of their boxes and generators, so each is read once a file
+    # and a list the canonical sweep refuses is parsed in full
     ordinals = OrdinalColumn()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -439,16 +446,17 @@ def read_run(path: str) -> DescentRun:
             if len(cols) != 8 or "dim" not in headers:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
             if dim is None:
-                dim = _positive_header(headers, "dim")
+                dim = _header_int(headers, "dim", 1)
+                lower_sets, ideals = LowerSetColumn(dim), IdealColumn(dim)
             try:
                 records.append(
                     BadSequenceRecord(
                         index=int(cols[0]),
                         alpha=ordinals.parse(cols[1]),
-                        lower_set=parse_gls(cols[2], dim),
+                        lower_set=lower_sets.read(cols[2]) or parse_gls(cols[2], dim),
                         norm=int(cols[3]),
                         extent=int(cols[4]),
-                        ideal=parse_ideal(cols[5], dim),
+                        ideal=ideals.read(cols[5]) or parse_ideal(cols[5], dim),
                         degree=int(cols[6]),
                         bound=int(cols[7]),
                     )
@@ -459,12 +467,11 @@ def read_run(path: str) -> DescentRun:
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
     if dim is None:
-        dim = _positive_header(headers, "dim")
-    base = _positive_header(headers, "base")
-    declared = headers["records"]
-    if not declared.isdigit() or int(declared) != len(records):
+        dim = _header_int(headers, "dim", 1)
+    base = _header_int(headers, "base", 1)
+    if _header_int(headers, "records", 0) != len(records):
         raise ValueError(
-            f"header says {declared} records but the file holds {len(records)}"
+            f"header says {headers['records']} records but the file holds {len(records)}"
         )
     return DescentRun(
         dim=dim,

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from operator import ge, le, lt
 
-from .vectors import dominance_masks, format_points, maximal_points, minimal_points, parse_points
+from .vectors import (
+    dominance_masks,
+    format_points,
+    maximal_points,
+    minimal_points,
+    parse_points,
+    read_canonical,
+)
 
 UNBOUNDED = float("inf")
 
@@ -519,6 +526,12 @@ def format_gls(s: GeneralLowerSet, box=format_box) -> str:
     return "u".join(map(box, s.rects))
 
 
+def read_box(chunk: str):
+    """The extents of the box ``[3,w,5]`` in ``chunk``, None when it is not one."""
+    m = re.fullmatch(r"\[((?:[0-9]+|w)(?:,(?:[0-9]+|w))*)\]", chunk)
+    return m and tuple(UNBOUNDED if c == "w" else int(c) for c in m.group(1).split(","))
+
+
 def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
     text = text.strip().replace(" ", "")
     if text == "empty":
@@ -527,11 +540,33 @@ def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
         return GeneralLowerSet.make(dim, [])
     rects = []
     for chunk in text.split("u"):
-        m = re.fullmatch(r"\[((?:[0-9]+|w)(?:,(?:[0-9]+|w))*)\]", chunk)
-        if not m:
+        rect = read_box(chunk)
+        if rect is None:
             raise ValueError(f"bad box {chunk!r}")
-        rect = tuple(UNBOUNDED if c == "w" else int(c) for c in m.group(1).split(","))
         rects.append(rect)
     if dim is None:
         dim = len(rects[0])
     return GeneralLowerSet.make(dim, rects)
+
+
+class LowerSetColumn:
+    """Reads a column of lower-set texts of dimension ``dim``, as the
+    records of a file hold them, each distinct box text once.
+
+    ``read(text)`` is the lower set of a canonical text: boxes of
+    ``dim`` nonzero extents that ``maximal_points`` gives back
+    unchanged (``vectors.read_canonical``).  It is None for any other
+    text, which ``parse_gls(text, dim)`` then reads or refuses.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._boxes: dict = {}
+
+    def _box(self, chunk: str):
+        r = read_box(chunk)
+        return r if r and len(r) == self.dim and 0 not in r else None
+
+    def read(self, text: str):
+        rects = read_canonical(text, "u", self._boxes, self._box, maximal_points, self.dim)
+        return None if rects is None else _trusted(GeneralLowerSet, dim=self.dim, rects=rects)

@@ -401,6 +401,11 @@ def format_ordinals(alphas):
 MAX_NESTING = 100
 
 
+def _digit(ch: str) -> bool:
+    """ASCII 0-9 only: ``str.isdigit`` also takes '²' and '٣'."""
+    return "0" <= ch <= "9"
+
+
 class _Parser:
     def __init__(self, text: str, pos: int = 0, starts=()):
         self.text = text
@@ -422,7 +427,7 @@ class _Parser:
 
     def natural(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while _digit(self.peek()):
             self.pos += 1
         if start == self.pos:
             self.error("expected a digit")
@@ -456,7 +461,7 @@ class _Parser:
                 if coeff == 0:
                     self.error("zero coefficient")
             return exp, coeff
-        if self.peek().isdigit():
+        if _digit(self.peek()):
             n = self.natural()
             if n == 0:
                 self.error("zero term in a sum")
@@ -470,7 +475,7 @@ class _Parser:
         if not kept and self.peek() == "0":
             save = self.pos
             self.pos += 1
-            if not self.peek().isdigit():
+            if not _digit(self.peek()):
                 return ZERO
             self.pos = save
         terms = [*kept, self.term()]

@@ -82,9 +82,46 @@ def dominance_masks(points: list, dim: int) -> list:
 
 
 def maximal_points(points, dim: int) -> list:
-    """Componentwise-maximal elements of ``points``, sorted."""
-    neg = [tuple(-c for c in p) for p in points]
-    return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
+    """Componentwise-maximal elements of ``points``, sorted.
+
+    dim 1 to 3 run the sweeps of ``minimal_points`` backwards: in
+    reverse lexicographic order a dominating (larger) vector sorts
+    before the vectors it dominates.  Other dims negate every point
+    around ``minimal_points``.
+    """
+    if not 1 <= dim <= 3:
+        neg = [tuple(-c for c in p) for p in points]
+        return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
+    pts = sorted(set(points), reverse=True)
+    if not pts:
+        return []
+    if dim == 1:
+        return [pts[0]]
+    kept = []
+    if dim == 2:
+        best = None
+        for p in pts:
+            if best is None or p[1] > best:
+                kept.append(p)
+                best = p[1]
+    else:
+        ys: list = []  # pareto front over (y, z) of kept points: y asc, z desc
+        zs: list = []
+        for p in pts:
+            _, y, z = p
+            k = bisect_left(ys, y)
+            if k < len(ys) and zs[k] >= z:
+                continue  # some kept point has x>=, y>=, z>=
+            kept.append(p)
+            # fold p into the (y, z) front; evict entries it dominates
+            j = bisect_right(ys, y)
+            i = j
+            while i and zs[i - 1] <= z:
+                i -= 1
+            ys[i:j] = [y]
+            zs[i:j] = [z]
+    kept.reverse()
+    return kept
 
 
 def format_point(p: tuple) -> str:
@@ -97,6 +134,12 @@ def format_points(points, point=format_point) -> str:
     return ";".join(map(point, points))
 
 
+def read_point(chunk: str):
+    """The point ``(a,b,...)`` of ``chunk``, None when it is not one."""
+    m = re.fullmatch(r"\(([0-9]+(?:,[0-9]+)*)\)", chunk)
+    return m and tuple(map(int, m.group(1).split(",")))
+
+
 def parse_points(text: str, dim: int | None, what: str) -> list:
     """Read ``(a,b,...);(c,d,...)`` into a list of int tuples.
 
@@ -105,13 +148,38 @@ def parse_points(text: str, dim: int | None, what: str) -> list:
     """
     points = []
     for chunk in text.split(";"):
-        m = re.fullmatch(r"\(([0-9]+(?:,[0-9]+)*)\)", chunk)
-        if not m:
+        p = read_point(chunk)
+        if p is None:
             raise ValueError(f"{what} {chunk!r}")
-        points.append(tuple(int(c) for c in m.group(1).split(",")))
+        points.append(p)
     if dim is None:
         dim = len(points[0])
     for p in points:
         if len(p) != dim:
             raise ValueError(f"{what} {p} for dimension {dim}")
     return points
+
+
+def read_canonical(text: str, sep: str, memo: dict, item, sweep, dim: int):
+    """The items of ``text``, split at ``sep``, as a tuple when the list
+    is canonical: every chunk reads and ``sweep(items, dim)`` gives the
+    list back unchanged, so it is sorted, without repeats, and nothing
+    in it is dominated.  None otherwise: the caller then parses ``text``
+    in full, which gives the value or the error the text alone gives.
+
+    ``item(chunk)`` is a chunk's item, or None when no canonical list
+    of the column holds the chunk.  ``memo`` maps each chunk read so far
+    to its item, so a column whose records share most of their items
+    reads each distinct chunk once.  Only the sweep decides whether a
+    list is canonical, never what an earlier list held.
+    """
+    chunks = text.split(sep)
+    items = list(map(memo.get, chunks))
+    if None in items:
+        for k, chunk in enumerate(chunks):
+            if items[k] is None:
+                v = item(chunk)
+                if v is None:
+                    return None
+                items[k] = memo[chunk] = v
+    return tuple(items) if sweep(items, dim) == items else None

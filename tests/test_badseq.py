@@ -26,11 +26,15 @@ from wpo.badseq import (
 from wpo.lowerset import (
     UNBOUNDED,
     GeneralLowerSet,
+    LowerSetColumn,
+    format_box,
     format_gls,
     full_space,
     inclusion_masks,
+    parse_gls,
 )
-from wpo.monomial import complement_ideal, format_ideal, unit_ideal
+from wpo.monomial import IdealColumn, complement_ideal, format_ideal, parse_ideal, unit_ideal
+from wpo.vectors import format_point
 from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import (
     Ordinal,
@@ -241,6 +245,8 @@ def check_derivations(dim, alphas):
         lset = GeneralLowerSet.make(dim, rects)
         rec = badseq._derive(2, len(records) + 1, alpha, fold)
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
+        # the running extent of the staircase state while the fold's
+        # boxes are an antichain, the scan of make's set after a fallback
         assert rec.extent == lset.max_finite_extent
         records.append(rec)
     lines = run_lines(DescentRun(dim, 2, descent_start(dim), tuple(records)))
@@ -625,6 +631,103 @@ class TestRecordFiles:
             write_run(generate(2, 2, 20), str(path))
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["run.rec"]
+
+
+def outcome(parse, text):
+    """parse(text), or the type and message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def tampered_column(rng, texts, sep, fmt, empty, malformed):
+    """A column as a tampered file may hold it: the canonical ``texts``
+    of a run in order, with texts near the one before among them, each
+    of whose items may have been read before.  ``fmt`` formats an item,
+    ``empty`` is the text of no items, and ``malformed`` are chunks of
+    no canonical list."""
+    out = []
+    for text in texts:
+        out.append(text)
+        chunks = [] if text == empty else text.split(sep)
+        for _ in range(rng.randint(0, 2)):
+            items = list(chunks)
+            move = rng.randrange(8)
+            if move == 0:
+                rng.shuffle(items)
+            elif move == 1 and items:
+                items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+            elif move == 2 and items:
+                # an item changed, in place of the old one or beside it: a
+                # box one smaller or a generator one larger, which the old
+                # one dominates; a 0 extent; one coordinate more or less
+                k = rng.randrange(len(items))
+                p = (parse_gls if sep == "u" else parse_ideal)(items[k])
+                v = list(p.rects[0] if sep == "u" else p.gens[0])
+                t = rng.randrange(len(v))
+                change = rng.randrange(4)
+                if change == 0 and sep == "u":
+                    v[t] = 1 if v[t] == UNBOUNDED else max(v[t] - 1, 1)
+                elif change == 0:
+                    v[t] += 1
+                elif change == 1:
+                    v[t] = 0
+                elif change == 2:
+                    v.append(v[t])
+                else:
+                    del v[t]
+                new = fmt(tuple(v))
+                items[k:k + 1] = rng.choice([[new], [items[k], new], [new, items[k]]])
+            elif move == 3 and items:
+                del items[rng.randrange(len(items))]
+            elif move == 4:
+                items.insert(rng.randrange(len(items) + 1), rng.choice(malformed))
+            elif move == 5:
+                items = [empty]
+            elif move == 6:
+                items = rng.choice(texts).split(sep)
+            out.append(sep.join(items) if items else empty)
+    return out
+
+
+class TestColumnReaders:
+    """One LowerSetColumn or IdealColumn fed a whole column, with
+    parse_gls or parse_ideal for the texts it does not take, gives for
+    each text what the parse gives for that text alone: the same value
+    or the same error.  The items of a reordered,
+    repeated or dominated list have all been read before, so only the
+    canonical check can refuse it."""
+
+    def check_column(self, reader, parse, column, canonical):
+        # read_run's composition: the reader, else a parse in full
+        got = [outcome(lambda t: reader.read(t) or parse(t), t) for t in column]
+        assert got == [outcome(parse, t) for t in column]
+        # the column reaches the canonical path and both fallbacks
+        kinds = {"error" if isinstance(g, tuple) else canonical(g) == t
+                 for g, t in zip(got, column)}
+        assert kinds == {"error", True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_lower_set_column(self, dim):
+        rng = random.Random(1300 + dim)
+        texts = [format_gls(r.lower_set) for base in (1, 2, 3)
+                 for r in generate(dim, base, 40).records]
+        texts += [format_gls(rand_gls(rng, dim, max_rects=6)) for _ in range(40)]
+        column = tampered_column(rng, texts, "u", format_box, "empty",
+                                 ["[1,,2]", "[", "", " [1]", "[2,x]", "(1)", "[-1]"])
+        self.check_column(LowerSetColumn(dim), lambda t: parse_gls(t, dim), column, format_gls)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_ideal_column(self, dim):
+        rng = random.Random(1400 + dim)
+        texts = [format_ideal(r.ideal) for base in (1, 2, 3)
+                 for r in generate(dim, base, 40).records]
+        texts += [format_ideal(complement_ideal(rand_gls(rng, dim, max_rects=6)))
+                  for _ in range(40)]
+        column = tampered_column(rng, texts, ";", format_point, "0",
+                                 ["(1,,2)", "(", "", " (1)", "(2,x)", "[1]", "(-1)", "empty"])
+        self.check_column(IdealColumn(dim), lambda t: parse_ideal(t, dim), column, format_ideal)
 
 
 class TestSymbolicBound:

@@ -123,6 +123,12 @@ class TestHardyCommand:
         code, _, err = run_cli(capsys, "hardy", "w^^2", "3")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["w^\u00b2", "w*\u0663"])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "hardy", text, "2")
+        assert code == 2 and out == ""
+        assert err == "error: expected a digit (at position 2)\n"
+
     def test_deep_nesting_is_a_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "hardy", "w^(" * 1500 + "1" + ")" * 1500, "2")
         assert code == 2 and out == ""
@@ -226,7 +232,8 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: header says base {base}, which is not an integer >= 1\n"
 
-    @pytest.mark.parametrize("dim", ["abc", "0", "-2"])
+    # "\u0662" is ARABIC-INDIC DIGIT TWO, which int() reads as 2
+    @pytest.mark.parametrize("dim", ["abc", "0", "-2", "\u0662"])
     def test_dim_header_not_a_dimension(self, capsys, tmp_path, dim):
         path = tmp_path / "run.rec"
         run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
@@ -236,6 +243,49 @@ class TestBadseqVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         assert err == f"error: header says dim {dim}, which is not an integer >= 1\n"
+
+    # "\u00b3" is SUPERSCRIPT THREE, which str.isdigit takes and int()
+    # refuses; "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+    @pytest.mark.parametrize("count", ["\u00b3", "\u0663", "abc", "-3", ""])
+    def test_records_header_not_a_count(self, capsys, tmp_path, count):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        text = path.read_text()
+        assert "\n# records: 3\n" in text
+        path.write_text(text.replace("\n# records: 3\n", f"\n# records: {count}\n"))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: header says records {count}, which is not an integer >= 0\n"
+
+    def test_non_canonical_columns_read_as_their_set(self, capsys, tmp_path):
+        # a record whose boxes, or generators, are listed in reverse is
+        # the same record: the reader falls back to parsing it in full
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "3", "-n", "40", "-o", str(path))
+        clean = run_cli(capsys, "verify", str(path))
+        assert clean[0] == 0
+        lines = path.read_text().splitlines()
+        for column, sep in ((2, "u"), (5, ";")):
+            rewritten = list(lines)
+            cols = rewritten[41].split("|")
+            assert cols[0] == "35" and sep in cols[column]
+            cols[column] = sep.join(reversed(cols[column].split(sep)))
+            rewritten[41] = "|".join(cols)
+            path.write_text("\n".join(rewritten) + "\n")
+            assert run_cli(capsys, "verify", str(path)) == clean
+
+    def test_non_ascii_digit_in_an_ordinal_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[8].split("|")
+        assert cols[1] == "w^(w+1)+w^w*3"
+        cols[1] = "w^(w+1)+w^w*\u0663"
+        lines[8] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 9: expected a digit (at position 12)\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/no/such/file.rec")

@@ -147,6 +147,19 @@ class TestFormatParse:
             parse_ordinal("w^2+x")
         assert exc.value.position == 4
 
+    # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE: str.isdigit takes both
+    @pytest.mark.parametrize("text,message", [
+        ("w^\u00b2", "expected a digit (at position 2)"),
+        ("w*\u0663", "expected a digit (at position 2)"),
+        ("\u0663", "expected 'w' or a number (at position 0)"),
+        ("w+1\u00b2", "trailing input (at position 3)"),
+        ("0\u0663", "trailing input (at position 1)"),
+    ])
+    def test_only_ascii_digits(self, text, message):
+        with pytest.raises(OrdinalParseError) as exc:
+            parse_ordinal(text)
+        assert str(exc.value) == message
+
     def test_nesting_limit(self):
         def nested(depth):
             return "w^(" * depth + "w" + ")" * depth

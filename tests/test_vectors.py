@@ -1,6 +1,6 @@
 import random
 
-from wpo.vectors import dominance_masks, dominates, minimal_points
+from wpo.vectors import dominance_masks, dominates, maximal_points, minimal_points
 
 INF = float("inf")
 
@@ -27,6 +27,25 @@ def test_minimal_points_matches_pairwise_filter():
             for m, p in zip(masks, distinct):
                 for j, q in enumerate(distinct):
                     assert (m >> j & 1) == dominates(p, q), (dim, p, q)
+
+
+def brute_maximal(points):
+    pts = sorted(set(points))
+    return [p for p in pts if not any(q != p and dominates(q, p) for q in pts)]
+
+
+def test_maximal_points_matches_pairwise_filter():
+    # dims 1-3 take the backward sweeps, dims 0 and >= 4 the negated
+    # minimal_points; w extents of boxes are INF, and the narrow range
+    # gives ties in every coordinate and repeated points
+    rng = random.Random(2025)
+    coords = [INF, 0] + list(range(1, 5))
+    for dim in range(6):
+        for _ in range(400):
+            points = [tuple(rng.choice(coords) for _ in range(dim))
+                      for _ in range(rng.randint(0, 40))]
+            points += rng.sample(points, min(len(points), rng.randint(0, 3)))
+            assert maximal_points(points, dim) == brute_maximal(points), (dim, points)
 
 
 def test_dimension_zero():
