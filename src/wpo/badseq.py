@@ -175,6 +175,15 @@ class _IdealFold:
     with the one before: the fold drops the rest, then takes the new
     terms one at a time, each once its box is built, so a term that
     raises leaves the fold holding the terms before it.
+
+    Each fact about a record is checked once, where it is established:
+    every box but an empty one, which moves no point, passes
+    ``_check_boxes``, in ``extends_antichain`` or in the ``make``
+    fallback, before ``derive`` returns, and ``complement_points``
+    builds the complement canonical from such boxes, so the lower set
+    and the ideal are both taken as built.  A record file's ideal column
+    is checked canonical when it is read, so ``verify`` would report a
+    fold ideal that is not as an ideal mismatch.
     """
 
     def __init__(self, dim: int):
@@ -212,7 +221,8 @@ class _IdealFold:
         else:
             lset = GeneralLowerSet.make(dim, self.rects)
             extent = lset.max_finite_extent
-        return lset, _norm(state), extent, MonomialIdeal(dim, tuple(self.outside[-1]))
+        ideal = _trusted(MonomialIdeal, dim=dim, gens=tuple(self.outside[-1]))
+        return lset, _norm(state), extent, ideal
 
 
 @dataclass(frozen=True)
@@ -415,11 +425,30 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
+def _decimal(text: str, least: int = 0):
+    """``text`` as an int of at least ``least`` when it is ASCII digits
+    alone, the only form ``run_lines`` writes an integer in; else None.
+    ``int`` alone would also take a sign, spaces, ``_`` and non-ASCII
+    digits."""
+    if text.isascii() and text.isdecimal() and (n := int(text)) >= least:
+        return n
+    return None
+
+
 def _header_int(headers: dict, key: str, least: int) -> int:
     text = headers[key]
-    if not (text.isascii() and text.isdecimal()) or int(text) < least:
+    n = _decimal(text, least)
+    if n is None:
         raise ValueError(f"header says {key} {text}, which is not an integer >= {least}")
-    return int(text)
+    return n
+
+
+def _column_int(cols: list, k: int) -> int:
+    n = _decimal(cols[k])
+    if n is None:
+        name = _COLUMNS.split("|")[k]
+        raise ValueError(f"{name} says {cols[k]!r}, which is not an integer >= 0")
+    return n
 
 
 def read_run(path: str) -> DescentRun:
@@ -451,14 +480,14 @@ def read_run(path: str) -> DescentRun:
             try:
                 records.append(
                     BadSequenceRecord(
-                        index=int(cols[0]),
+                        index=_column_int(cols, 0),
                         alpha=ordinals.parse(cols[1]),
                         lower_set=lower_sets.read(cols[2]) or parse_gls(cols[2], dim),
-                        norm=int(cols[3]),
-                        extent=int(cols[4]),
+                        norm=_column_int(cols, 3),
+                        extent=_column_int(cols, 4),
                         ideal=ideals.read(cols[5]) or parse_ideal(cols[5], dim),
-                        degree=int(cols[6]),
-                        bound=int(cols[7]),
+                        degree=_column_int(cols, 6),
+                        bound=_column_int(cols, 7),
                     )
                 )
             except ValueError as exc:

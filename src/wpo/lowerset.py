@@ -21,6 +21,7 @@ wraps those points in ideals.
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import ge, le, lt
@@ -68,11 +69,17 @@ def extends_antichain(boxes, box: Rect, dim: int) -> bool:
     """Whether the sorted maximal ``boxes`` plus ``box`` are the maximal
     boxes of their union, as ``make`` would keep them: ``box`` has no 0
     extent and lies neither below nor above any of ``boxes``.  Raises
-    ValueError, as ``make`` does, on a box that is not one."""
+    ValueError, as ``make`` does, on a box that is not one.
+
+    A box at or below ``box`` in every coordinate sorts at or before it,
+    so only the boxes before its place in the sort can lie below it, and
+    only those from its place on, an equal box among them, above it."""
     if 0 in box:
         return False
     _check_boxes((box,), dim)
-    return not any(all(map(le, box, r)) or all(map(ge, box, r)) for r in boxes)
+    i = bisect_left(boxes, box)
+    return not (any(all(map(le, box, r)) for r in boxes[i:])
+                or any(all(map(ge, box, r)) for r in boxes[:i]))
 
 
 @dataclass(frozen=True)
@@ -232,6 +239,15 @@ def complement_points(rects, dim: int, outside=None) -> list:
     stays and lies below q holds e at t, since p is inside r in every
     other coordinate, so q is checked only against those.  A box
     unbounded everywhere leaves nothing outside.
+
+    The result is canonical, the sorted antichain that ``MonomialIdeal``
+    accepts, when ``outside`` is and ``_check_boxes`` accepts every box:
+    every coordinate is an old point's or a finite extent; the kept
+    points stay an antichain; a raised point q lies above no kept point
+    (the ``level`` check) and below none, since q lies above its p and p
+    below no other old point; ``minimal_points`` drops the repeated and
+    dominated raised points, and ``sorted`` orders the rest.  So
+    ``badseq._IdealFold`` takes the result as built.
     """
     points = [(0,) * dim] if outside is None else list(outside)
     for r in rects:

@@ -33,7 +33,14 @@ from wpo.lowerset import (
     inclusion_masks,
     parse_gls,
 )
-from wpo.monomial import IdealColumn, complement_ideal, format_ideal, parse_ideal, unit_ideal
+from wpo.monomial import (
+    IdealColumn,
+    MonomialIdeal,
+    complement_ideal,
+    format_ideal,
+    parse_ideal,
+    unit_ideal,
+)
 from wpo.vectors import format_point
 from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import (
@@ -245,6 +252,8 @@ def check_derivations(dim, alphas):
         lset = GeneralLowerSet.make(dim, rects)
         rec = badseq._derive(2, len(records) + 1, alpha, fold)
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
+        # the fold takes its ideal as built: the checked constructor accepts it
+        assert MonomialIdeal(dim, rec.ideal.gens) == rec.ideal
         # the running extent of the staircase state while the fold's
         # boxes are an antichain, the scan of make's set after a fallback
         assert rec.extent == lset.max_finite_extent

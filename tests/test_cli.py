@@ -257,6 +257,29 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: header says records {count}, which is not an integer >= 0\n"
 
+    # int() reads each text but "-3" as the value wpo badseq wrote there;
+    # "\u0663" is ARABIC-INDIC DIGIT THREE
+    @pytest.mark.parametrize("line,name,was,text", [
+        (8, "index", "1", "+1"),
+        (9, "extent", "3", " 3"),
+        (11, "degree", "10", "1_0"),
+        (10, "index", "3", "\u0663"),
+        (8, "norm", "2", "-3"),
+    ])
+    def test_integer_column_not_ascii_digits_rejected(self, capsys, tmp_path, line, name, was, text):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "4", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[line - 1].split("|")
+        column = badseq._COLUMNS.split("|").index(name)
+        assert cols[column] == was
+        cols[column] = text
+        lines[line - 1] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: line {line}: {name} says {text!r}, which is not an integer >= 0\n"
+
     def test_non_canonical_columns_read_as_their_set(self, capsys, tmp_path):
         # a record whose boxes, or generators, are listed in reverse is
         # the same record: the reader falls back to parsing it in full

@@ -2,6 +2,7 @@ import ast
 import random
 import time
 from itertools import combinations, product
+from operator import ge, le
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,30 @@ class TestFiniteLowerSet:
             parse_fls("(1,2)")
 
 
+def two_way_extends(boxes, box) -> bool:
+    """extends_antichain with each kept box tested both ways: the reference."""
+    return 0 not in box and not any(all(map(le, box, r)) or all(map(ge, box, r)) for r in boxes)
+
+
+def probe_boxes(rng, kept, dim):
+    """Boxes equal to, above, below and beside each of ``kept``, one
+    coordinate moved at a time, and random boxes, some with a 0 extent."""
+    for r in kept:
+        yield r
+        for t in range(dim):
+            up, down = list(r), list(r)
+            up[t] = r[t] + rng.randint(1, 2)  # w stays w: equal
+            down[t] = rng.randint(1, 6) if r[t] == W else max(r[t] - rng.randint(1, 2), 1)
+            yield tuple(up)
+            yield tuple(down)
+            u = rng.randrange(dim)
+            if u != t:
+                down[u] = r[u] + 1
+                yield tuple(down)
+    for _ in range(3):
+        yield tuple(W if rng.random() < 0.3 else rng.randint(0, 7) for _ in range(dim))
+
+
 class TestCanonicalForm:
     def test_dominated_and_empty_boxes_dropped(self):
         s = GeneralLowerSet.make(2, [(1, W), (3, 2), (2, 2), (3, 1), (0, 5)])
@@ -175,6 +200,20 @@ class TestCanonicalForm:
         assert extends_antichain(kept, box, 3) is fits
         # fits exactly when the sorted list is what make keeps
         assert (GeneralLowerSet.make(3, kept + [box]).rects == tuple(sorted(kept + [box]))) is fits
+
+    @pytest.mark.parametrize("dim", range(6))
+    def test_extends_antichain_matches_two_way_scan(self, dim):
+        # each kept box is tested one way: those before the new box's
+        # place in the sort may lie below it, those from there on above it
+        rng = random.Random(170 + dim)
+        seen = set()
+        for _ in range(150):
+            kept = list(rand_gls(rng, dim, max_rects=8).rects)
+            for box in probe_boxes(rng, kept, dim):
+                fits = extends_antichain(kept, box, dim)
+                assert fits is two_way_extends(kept, box), (kept, box)
+                seen.add(fits)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("box", [(1, -1, 2), (1.5, 2, 2), (1, 2)])
     def test_extends_antichain_rejects_bad_boxes(self, box):
