@@ -34,7 +34,6 @@ from .lowerset import (
     UNBOUNDED,
     _trusted,
     complement_points,
-    extends_antichain,
     format_box,
     format_gls,
     inclusion_masks,
@@ -114,7 +113,19 @@ def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
     """Yield the box of each of ``terms`` of ``alpha`` with the state
     after it, starting from ``state``, the state after the terms before
     them.  A yielded state is never changed afterwards, so the next
-    ordinal can resume from it."""
+    ordinal can resume from it.
+
+    The boxes of one ordinal are a nonempty antichain, so sorted they
+    are their union's canonical form.  Levels never go down along the
+    terms (bigger exponents have lower levels), subsets go up in lex
+    order within a level, and positions go down in lex order within a
+    block.  So a new box B on S and an earlier B' on S' are incomparable.
+    At a lower level |S'| < |S|, so B' is w where B is finite, and B is w
+    where B' is finite unless S' lies in S, where B >= reach + 2 > B'.
+    At the same level each is w where the other is finite.  In the same
+    block B's last extent is bigger (acc grows), and B' is bigger at the
+    first position digit where the two differ.  Every extent is a
+    coefficient c >= 1 at level 1, at least 2 above it, or w."""
     seen, reach, level, block, acc, total, top = state
     # seen: largest finite extent a coordinate, every box so far; reach:
     # the same over the boxes of lower levels, set per level
@@ -158,71 +169,47 @@ def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
 
 
 def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
-    return GeneralLowerSet.make(dim, shape_from_ordinal(alpha, dim)[0])
+    return GeneralLowerSet(dim, tuple(sorted(shape_from_ordinal(alpha, dim)[0])))
 
 
 class _IdealFold:
-    """Derives the staircase, lower set and complement ideal of each
-    ordinal of a run from those of the ordinal before.
-
-    Consecutive ordinals of a descent share all but a short tail of
-    their terms, so the fold keeps, after the first k terms of the last
-    ordinal: the staircase state (``states[k]``), the minimal points
-    outside the first k boxes (``outside[k]``; ``outside[0]`` is the
-    origin alone, the complement of no box), and, while the first k
-    boxes are an antichain, their sorted list, which is then the
-    canonical lower set.  An ordinal resumes after the terms it shares
-    with the one before: the fold drops the rest, then takes the new
-    terms one at a time, each once its box is built, so a term that
+    """Derives the lower set and complement ideal of each ordinal of a
+    run from those of the ordinal before, which shares all but a short
+    tail of its terms.  After the first k terms of the last ordinal the
+    fold keeps ``after[k]``: the staircase state and the minimal points
+    outside the first k boxes (the origin alone for k = 0).  A term that
     raises leaves the fold holding the terms before it.
 
-    Each fact about a record is checked once, where it is established:
-    every box but an empty one, which moves no point, passes
-    ``_check_boxes``, in ``extends_antichain`` or in the ``make``
-    fallback, before ``derive`` returns, and ``complement_points``
-    builds the complement canonical from such boxes, so the lower set
-    and the ideal are both taken as built.  A record file's ideal column
-    is checked canonical when it is read, so ``verify`` would report a
-    fold ideal that is not as an ideal mismatch.
+    Both values are taken as built (``_staircase``, ``complement_points``):
+    the tests hold the checks, and ``verify`` reports a value that is not
+    canonical as a mismatch with the file's columns, checked when read.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.terms: list = []
         self.rects: list = []
-        self.states: list = [_stair_start(dim)]
-        self.outside: list = [[(0,) * dim]]
-        self.boxes: list = []  # sorted rects[:clean]: a checked antichain
-        self.clean = 0
+        self.after: list = [(_stair_start(dim), [(0,) * dim])]
+        self.boxes: list = []  # sorted self.rects
 
     def derive(self, alpha: Ordinal):
         """The lower set, norm, extent and complement ideal of alpha's
         staircase."""
         dim = self.dim
         k = common_prefix(self.terms, alpha.terms)
-        for r in self.rects[k:self.clean]:
+        for r in self.rects[k:]:
             del self.boxes[bisect_left(self.boxes, r)]
-        self.clean = min(self.clean, k)
-        del self.terms[k:], self.rects[k:], self.states[k + 1:], self.outside[k + 1:]
+        del self.terms[k:], self.rects[k:], self.after[k + 1:]
         tail = alpha.terms[k:]
-        for term, (box, state) in zip(tail, _staircase(alpha, dim, self.states[-1], tail)):
-            outside = complement_points([box], dim, self.outside[-1])
-            if self.clean == len(self.rects) and extends_antichain(self.boxes, box, dim):
-                insort(self.boxes, box)
-                self.clean += 1
+        for term, (box, state) in zip(tail, _staircase(alpha, dim, self.after[-1][0], tail)):
+            self.after.append((state, complement_points([box], dim, self.after[-1][1])))
+            insort(self.boxes, box)
             self.terms.append(term)
             self.rects.append(box)
-            self.states.append(state)
-            self.outside.append(outside)
-        state = self.states[-1]
-        if self.clean == len(self.rects):
-            lset = _trusted(GeneralLowerSet, dim=dim, rects=tuple(self.boxes))
-            extent = max(state[0], default=0)  # seen: every box is in the set
-        else:
-            lset = GeneralLowerSet.make(dim, self.rects)
-            extent = lset.max_finite_extent
-        ideal = _trusted(MonomialIdeal, dim=dim, gens=tuple(self.outside[-1]))
-        return lset, _norm(state), extent, ideal
+        state, outside = self.after[-1]
+        lset = _trusted(GeneralLowerSet, dim=dim, rects=tuple(self.boxes))
+        ideal = _trusted(MonomialIdeal, dim=dim, gens=tuple(outside))
+        return lset, _norm(state), max(state[0], default=0), ideal
 
 
 @dataclass(frozen=True)
@@ -425,30 +412,22 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
-def _decimal(text: str, least: int = 0):
+def _integer(text: str, least: int, what: str) -> int:
     """``text`` as an int of at least ``least`` when it is ASCII digits
-    alone, the only form ``run_lines`` writes an integer in; else None.
-    ``int`` alone would also take a sign, spaces, ``_`` and non-ASCII
-    digits."""
-    if text.isascii() and text.isdecimal() and (n := int(text)) >= least:
+    without a leading zero, the only form ``run_lines`` writes an
+    integer in; else a ValueError on ``what``.  ``int`` alone would also
+    take a sign, spaces, ``_``, leading zeros and non-ASCII digits."""
+    if text.isascii() and text.isdecimal() and str(n := int(text)) == text and n >= least:
         return n
-    return None
+    raise ValueError(f"{what}, which is not an integer >= {least}")
 
 
 def _header_int(headers: dict, key: str, least: int) -> int:
-    text = headers[key]
-    n = _decimal(text, least)
-    if n is None:
-        raise ValueError(f"header says {key} {text}, which is not an integer >= {least}")
-    return n
+    return _integer(headers[key], least, f"header says {key} {headers[key]}")
 
 
 def _column_int(cols: list, k: int) -> int:
-    n = _decimal(cols[k])
-    if n is None:
-        name = _COLUMNS.split("|")[k]
-        raise ValueError(f"{name} says {cols[k]!r}, which is not an integer >= 0")
-    return n
+    return _integer(cols[k], 0, f"{_COLUMNS.split('|')[k]} says {cols[k]!r}")
 
 
 def read_run(path: str) -> DescentRun:

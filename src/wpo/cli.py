@@ -13,7 +13,8 @@ from . import oracles
 from .linearize import check_monotone, ordinal_rank
 from .lowerset import format_fls, parse_fls, parse_gls
 from .monomial import complement_ideal, complement_lowerset, format_ideal, parse_ideal, pretty_ideal
-from .ordinal import bounded_type, descend, format_ordinal, general_type, hardy, parse_ordinal
+from .ordinal import (MAX_GENERAL_DIM, bounded_type, descend, format_ordinal, general_type,
+                      hardy, parse_ordinal)
 
 
 def cmd_type(args) -> int:
@@ -38,8 +39,15 @@ def cmd_type(args) -> int:
     return 2
 
 
+def _dim(args):
+    """``--dim``, refused outside 0..MAX_GENERAL_DIM before it sizes anything."""
+    if args.dim is not None and not 0 <= args.dim <= MAX_GENERAL_DIM:
+        raise ValueError(f"need 0 <= dim <= {MAX_GENERAL_DIM}")
+    return args.dim
+
+
 def cmd_ord(args) -> int:
-    f = parse_fls(args.lower_set, args.dim)
+    f = parse_fls(args.lower_set, _dim(args))
     print(format_ordinal(ordinal_rank(f).value))
     return 0
 
@@ -135,14 +143,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    dim = _dim(args)
     if args.gens is not None:
-        ideal = parse_ideal(args.gens, args.dim)
+        ideal = parse_ideal(args.gens, dim)
         print(complement_lowerset(ideal))
         return 0
     if args.lower_set is None:
         print("error: give a lower set or --gens", file=sys.stderr)
         return 2
-    s = parse_gls(args.lower_set, args.dim)
+    s = parse_gls(args.lower_set, dim)
     ideal = complement_ideal(s)
     print(f"gens: {format_ideal(ideal)}")
     print(f"pretty: {pretty_ideal(ideal)}")

@@ -21,12 +21,12 @@ wraps those points in ideals.
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import ge, le, lt
+from operator import ge, lt
 
 from .vectors import (
+    NATURAL,
     dominance_masks,
     format_points,
     maximal_points,
@@ -63,23 +63,6 @@ def _check_boxes(rects, dim: int) -> None:
             (isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in r
         ):
             raise ValueError(f"bad box {r} for dimension {dim}")
-
-
-def extends_antichain(boxes, box: Rect, dim: int) -> bool:
-    """Whether the sorted maximal ``boxes`` plus ``box`` are the maximal
-    boxes of their union, as ``make`` would keep them: ``box`` has no 0
-    extent and lies neither below nor above any of ``boxes``.  Raises
-    ValueError, as ``make`` does, on a box that is not one.
-
-    A box at or below ``box`` in every coordinate sorts at or before it,
-    so only the boxes before its place in the sort can lie below it, and
-    only those from its place on, an equal box among them, above it."""
-    if 0 in box:
-        return False
-    _check_boxes((box,), dim)
-    i = bisect_left(boxes, box)
-    return not (any(all(map(le, box, r)) for r in boxes[i:])
-                or any(all(map(ge, box, r)) for r in boxes[:i]))
 
 
 @dataclass(frozen=True)
@@ -246,7 +229,8 @@ def complement_points(rects, dim: int, outside=None) -> list:
     points stay an antichain; a raised point q lies above no kept point
     (the ``level`` check) and below none, since q lies above its p and p
     below no other old point; ``minimal_points`` drops the repeated and
-    dominated raised points, and ``sorted`` orders the rest.  So
+    dominated raised points, and ``sorted`` orders the rest.  The
+    staircase's extents are all such (``badseq._staircase``), so
     ``badseq._IdealFold`` takes the result as built.
     """
     points = [(0,) * dim] if outside is None else list(outside)
@@ -544,7 +528,7 @@ def format_gls(s: GeneralLowerSet, box=format_box) -> str:
 
 def read_box(chunk: str):
     """The extents of the box ``[3,w,5]`` in ``chunk``, None when it is not one."""
-    m = re.fullmatch(r"\[((?:[0-9]+|w)(?:,(?:[0-9]+|w))*)\]", chunk)
+    m = re.fullmatch(rf"\[((?:{NATURAL}|w)(?:,(?:{NATURAL}|w))*)\]", chunk)
     return m and tuple(UNBOUNDED if c == "w" else int(c) for c in m.group(1).split(","))
 
 

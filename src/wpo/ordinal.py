@@ -431,6 +431,9 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected a digit")
+        if self.text[start] == "0" and self.pos - start > 1:
+            self.pos = start
+            self.error("leading zero")
         return int(self.text[start:self.pos])
 
     def term(self) -> tuple:
@@ -473,11 +476,8 @@ class _Parser:
         and checked, each followed by a '+'; the sum resumes after them
         at ``self.pos``."""
         if not kept and self.peek() == "0":
-            save = self.pos
-            self.pos += 1
-            if not _digit(self.peek()):
-                return ZERO
-            self.pos = save
+            self.natural()  # 0, or a leading zero error
+            return ZERO
         terms = [*kept, self.term()]
         while self.peek() == "+":
             self.pos += 1

@@ -124,6 +124,9 @@ def maximal_points(points, dim: int) -> list:
     return kept
 
 
+NATURAL = "(?:0|[1-9][0-9]*)"  # a coordinate of a box or point: ASCII, no leading 0
+
+
 def format_point(p: tuple) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 
@@ -136,7 +139,7 @@ def format_points(points, point=format_point) -> str:
 
 def read_point(chunk: str):
     """The point ``(a,b,...)`` of ``chunk``, None when it is not one."""
-    m = re.fullmatch(r"\(([0-9]+(?:,[0-9]+)*)\)", chunk)
+    m = re.fullmatch(rf"\(({NATURAL}(?:,{NATURAL})*)\)", chunk)
     return m and tuple(map(int, m.group(1).split(",")))
 
 

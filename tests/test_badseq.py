@@ -203,7 +203,7 @@ class TestStaircase:
         ]
         assert norm == 3 + 2 + 1 + 5 + 4
 
-    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_all_boxes_survive_canonicalization(self, dim):
         rng = random.Random(400 + dim)
         for _ in range(150):
@@ -252,10 +252,11 @@ def check_derivations(dim, alphas):
         lset = GeneralLowerSet.make(dim, rects)
         rec = badseq._derive(2, len(records) + 1, alpha, fold)
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
-        # the fold takes its ideal as built: the checked constructor accepts it
+        # the fold takes its lower set and ideal as built: the checked
+        # constructors accept them
+        assert GeneralLowerSet(dim, rec.lower_set.rects) == rec.lower_set
         assert MonomialIdeal(dim, rec.ideal.gens) == rec.ideal
-        # the running extent of the staircase state while the fold's
-        # boxes are an antichain, the scan of make's set after a fallback
+        # the running extent of the staircase state: every box is in the set
         assert rec.extent == lset.max_finite_extent
         records.append(rec)
     lines = run_lines(DescentRun(dim, 2, descent_start(dim), tuple(records)))
@@ -281,20 +282,6 @@ class TestDeriver:
             k = rng.randint(1, len(walk) - 1)
             bad = rng.choice([descent_start(dim), top, top + walk[k]])
             check_derivations(dim, walk[:k] + [bad] + walk[k:])
-
-    def test_make_fallback(self, monkeypatch):
-        # staircase boxes are always an antichain, so make alone would
-        # never run: refuse some boxes at random to reach it
-        rng = random.Random(977)
-        fits = badseq.extends_antichain
-        monkeypatch.setattr(badseq, "extends_antichain",
-                            lambda boxes, box, dim: rng.random() < 0.7 and fits(boxes, box, dim))
-        for dim in (2, 3):
-            for _ in range(10):
-                check_derivations(dim, ordinal_walk(rng, dim, 30))
-        run = generate(3, 2, 60)
-        monkeypatch.undo()
-        assert run == generate(3, 2, 60)
 
 
 class TestGenerate:

@@ -98,6 +98,40 @@ def test_empty_coordinates_rejected(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hardy", "w*03", "2"], "leading zero (at position 2)"),
+    (["ideal", "[01,2]"], "bad box '[01,2]'"),
+    (["ideal", "--gens", "(2,00)"], "bad exponent vector '(2,00)'"),
+    (["ord", "{(0,01)}"], "bad generator '(0,01)'"),
+])
+def test_leading_zeros_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideal", "empty"],
+    ["ideal", "--gens", "0"],
+    ["ord", "{}"],
+])
+@pytest.mark.parametrize("dim", ["1000000000", str(MAX_GENERAL_DIM + 1), "-1"])
+def test_dim_out_of_range_fails_fast(capsys, argv, dim):
+    # refused before anything of that size is built
+    began = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--dim", dim)
+    assert time.perf_counter() - began < 1
+    assert code == 2 and out == ""
+    assert err == f"error: need 0 <= dim <= {MAX_GENERAL_DIM}\n"
+
+
+def test_dim_at_the_bounds(capsys):
+    code, out, _ = run_cli(capsys, "ideal", "--gens", "0", "--dim", str(MAX_GENERAL_DIM))
+    assert code == 0 and out.strip() == "[" + ",".join(["w"] * MAX_GENERAL_DIM) + "]"
+    code, out, _ = run_cli(capsys, "ideal", "empty", "--dim", "0")
+    assert code == 0 and out.splitlines()[0] == "gens: ()"
+
+
 class TestHardyCommand:
     def test_small_values(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "w", "3")
@@ -233,7 +267,7 @@ class TestBadseqVerify:
         assert err == f"error: header says base {base}, which is not an integer >= 1\n"
 
     # "\u0662" is ARABIC-INDIC DIGIT TWO, which int() reads as 2
-    @pytest.mark.parametrize("dim", ["abc", "0", "-2", "\u0662"])
+    @pytest.mark.parametrize("dim", ["abc", "0", "-2", "\u0662", "02"])
     def test_dim_header_not_a_dimension(self, capsys, tmp_path, dim):
         path = tmp_path / "run.rec"
         run_cli(capsys, "badseq", "-m", "2", "-n", "3", "-o", str(path))
@@ -279,6 +313,29 @@ class TestBadseqVerify:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         assert err == f"error: line {line}: {name} says {text!r}, which is not an integer >= 0\n"
+
+    # record 2 of a dim-2 run, one column at a time written with a
+    # leading zero: each column kind's reader refuses it
+    @pytest.mark.parametrize("name,was,text,message", [
+        ("index", "2", "02", "index says '02', which is not an integer >= 0"),
+        ("degree", "4", "04", "degree says '04', which is not an integer >= 0"),
+        ("ordinal", "w^(w+1)+w^w*3", "w^(w+1)+w^w*03", "leading zero (at position 12)"),
+        ("lowerset", "[1,w]u[w,3]", "[01,w]u[w,3]", "bad box '[01,w]'"),
+        ("ideal", "(1,3)", "(01,3)", "bad exponent vector '(01,3)'"),
+    ])
+    def test_leading_zero_in_a_column_rejected(self, capsys, tmp_path, name, was, text, message):
+        path = tmp_path / "run.rec"
+        run_cli(capsys, "badseq", "-m", "2", "-n", "4", "-o", str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[8].split("|")
+        column = badseq._COLUMNS.split("|").index(name)
+        assert cols[column] == was
+        cols[column] = text
+        lines[8] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: line 9: {message}\n"
 
     def test_non_canonical_columns_read_as_their_set(self, capsys, tmp_path):
         # a record whose boxes, or generators, are listed in reverse is

@@ -2,7 +2,6 @@ import ast
 import random
 import time
 from itertools import combinations, product
-from operator import ge, le
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,6 @@ from wpo.lowerset import (
     decompose_parts,
     enumerate_fls,
     enumerate_gls,
-    extends_antichain,
     format_fls,
     format_gls,
     from_finite,
@@ -34,6 +32,7 @@ from wpo.lowerset import (
     parse_gls,
     preimage,
     project,
+    read_box,
     to_finite,
     trivial_specification,
     validate_specification,
@@ -125,30 +124,6 @@ class TestFiniteLowerSet:
             parse_fls("(1,2)")
 
 
-def two_way_extends(boxes, box) -> bool:
-    """extends_antichain with each kept box tested both ways: the reference."""
-    return 0 not in box and not any(all(map(le, box, r)) or all(map(ge, box, r)) for r in boxes)
-
-
-def probe_boxes(rng, kept, dim):
-    """Boxes equal to, above, below and beside each of ``kept``, one
-    coordinate moved at a time, and random boxes, some with a 0 extent."""
-    for r in kept:
-        yield r
-        for t in range(dim):
-            up, down = list(r), list(r)
-            up[t] = r[t] + rng.randint(1, 2)  # w stays w: equal
-            down[t] = rng.randint(1, 6) if r[t] == W else max(r[t] - rng.randint(1, 2), 1)
-            yield tuple(up)
-            yield tuple(down)
-            u = rng.randrange(dim)
-            if u != t:
-                down[u] = r[u] + 1
-                yield tuple(down)
-    for _ in range(3):
-        yield tuple(W if rng.random() < 0.3 else rng.randint(0, 7) for _ in range(dim))
-
-
 class TestCanonicalForm:
     def test_dominated_and_empty_boxes_dropped(self):
         s = GeneralLowerSet.make(2, [(1, W), (3, 2), (2, 2), (3, 1), (0, 5)])
@@ -186,39 +161,6 @@ class TestCanonicalForm:
             for _ in range(100):
                 s = rand_gls(rng, dim, max_rects=8)
                 assert GeneralLowerSet(s.dim, s.rects) == s
-
-    @pytest.mark.parametrize("box,fits", [
-        ((2, W, 3), True),    # incomparable to every kept box
-        ((1, 1, 1), False),   # below (1, W, 5)
-        ((1, W, 6), False),   # above (1, W, 5)
-        ((4, 4, 4), False),   # equal to a kept box
-        ((5, 0, 9), False),   # a 0 extent: make drops the box
-    ])
-    def test_extends_antichain(self, box, fits):
-        kept = [(1, W, 5), (4, 4, 4), (W, 2, 1)]
-        assert list(GeneralLowerSet.make(3, kept).rects) == kept
-        assert extends_antichain(kept, box, 3) is fits
-        # fits exactly when the sorted list is what make keeps
-        assert (GeneralLowerSet.make(3, kept + [box]).rects == tuple(sorted(kept + [box]))) is fits
-
-    @pytest.mark.parametrize("dim", range(6))
-    def test_extends_antichain_matches_two_way_scan(self, dim):
-        # each kept box is tested one way: those before the new box's
-        # place in the sort may lie below it, those from there on above it
-        rng = random.Random(170 + dim)
-        seen = set()
-        for _ in range(150):
-            kept = list(rand_gls(rng, dim, max_rects=8).rects)
-            for box in probe_boxes(rng, kept, dim):
-                fits = extends_antichain(kept, box, dim)
-                assert fits is two_way_extends(kept, box), (kept, box)
-                seen.add(fits)
-        assert seen == {True, False}
-
-    @pytest.mark.parametrize("box", [(1, -1, 2), (1.5, 2, 2), (1, 2)])
-    def test_extends_antichain_rejects_bad_boxes(self, box):
-        with pytest.raises(ValueError, match=r"bad box .* for dimension 3"):
-            extends_antichain([(2, 2, 2)], box, 3)
 
     def test_member(self):
         s = GeneralLowerSet.make(2, [(2, W), (W, 2)])
@@ -612,6 +554,19 @@ class TestTextForm:
         for bad in ["", "[1,2", "1,2]", "[1,x]", "[1,2]v[2,1]", "[]"]:
             with pytest.raises(ValueError):
                 parse_gls(bad, 2)
+
+    @pytest.mark.parametrize("chunk,box", [
+        ("[10,w]", (10, W)),
+        ("[0,1]", (0, 1)),
+        ("[01,w]", None),
+        ("[w,00]", None),
+    ])
+    def test_read_box_refuses_leading_zeros(self, chunk, box):
+        assert read_box(chunk) == box
+        if box is None:
+            with pytest.raises(ValueError) as exc:
+                parse_gls(chunk, 2)
+            assert str(exc.value) == f"bad box '{chunk}'"
 
     def test_spaces_tolerated(self):
         assert parse_gls(" [2, w] u [w, 2] ").rects == ((2, W), (W, 2))

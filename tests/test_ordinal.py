@@ -130,6 +130,7 @@ class TestFormatParse:
     @pytest.mark.parametrize("bad", [
         "", "+", "w^", "w^()", "w*", "w*0", "0*3", "w+0", "3+w",
         "w+w*2", "w^2+w^2", "w^2+w^3", "x", "w^(w", "w)", "1+", "w++1", "00w",
+        "00", "01", "w*03", "w^02", "w^(w*01)", "w+010",
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(OrdinalParseError) as exc:
@@ -137,7 +138,9 @@ class TestFormatParse:
         assert exc.value.position >= 0
 
     def test_parse_accepts_redundant_forms(self):
-        # lenient superset of the printer's image
+        # lenient superset of the printer's image, in the ordinal form
+        # only: a number is written without a leading zero
+        assert parse_ordinal("0") == ZERO
         assert parse_ordinal("w^0") == ONE
         assert parse_ordinal("w^1*3") == o("w*3")
         assert parse_ordinal("w^(2)") == o("w^2")
@@ -146,6 +149,14 @@ class TestFormatParse:
         with pytest.raises(OrdinalParseError) as exc:
             parse_ordinal("w^2+x")
         assert exc.value.position == 4
+
+    @pytest.mark.parametrize("text,position", [
+        ("03", 0), ("w*03", 2), ("w^02*3", 2), ("w^(w+01)", 5), ("w^2+w*10+007", 9),
+    ])
+    def test_leading_zero_position(self, text, position):
+        with pytest.raises(OrdinalParseError) as exc:
+            parse_ordinal(text)
+        assert str(exc.value) == f"leading zero (at position {position})"
 
     # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE: str.isdigit takes both
     @pytest.mark.parametrize("text,message", [
@@ -194,7 +205,7 @@ DEEP = "w^(" * (MAX_NESTING + 1) + "w" + ")" * (MAX_NESTING + 1)
 # from it, trailing input, zeros, stray '+' and nesting past the limit
 TAILS = st.one_of(
     st.integers(0, 2**32).map(lambda seed: format_ordinal(rand_ordinal(random.Random(seed), 5))),
-    st.sampled_from(["", "0", "+", "1+", "w)", "5w", "w*0", "w^(w^2*3+1)", DEEP]),
+    st.sampled_from(["", "0", "+", "1+", "w)", "5w", "w*0", "w*01", "00", "w^(w^2*3+1)", DEEP]),
 )
 
 
@@ -235,6 +246,7 @@ class TestOrdinalColumn:
             "w^2+w",                  # shares no term with the text before
             "0",                      # after a non-zero text
             head + "0",
+            head + "w*02+7",          # a leading zero
             "w^2+" + DEEP,
             head + "w^2",
         ]
@@ -244,6 +256,7 @@ class TestOrdinalColumn:
             ("exponents must strictly decrease (at position 37)", 37),
             ("trailing input (at position 33)", 33),
             ("zero term in a sum (at position 29)", 29),
+            ("leading zero (at position 30)", 30),
             (f"exponent nesting deeper than {MAX_NESTING} (at position 306)", 306),
         ]
         assert got[0] == o("w^(w^2+w*3)*2+w^(w+1)+w^3*4+w*2+7") and got[5] == ZERO

@@ -1,6 +1,8 @@
 import random
 
-from wpo.vectors import dominance_masks, dominates, maximal_points, minimal_points
+import pytest
+
+from wpo.vectors import dominance_masks, dominates, maximal_points, minimal_points, read_point
 
 INF = float("inf")
 
@@ -52,3 +54,14 @@ def test_dimension_zero():
     # intersection_image onto no coordinates asks for these
     assert minimal_points([], 0) == []
     assert minimal_points([(), ()], 0) == [()]
+
+
+@pytest.mark.parametrize("chunk,point", [
+    ("(0,10)", (0, 10)),
+    ("(0)", (0,)),
+    ("(01,3)", None),
+    ("(1,00)", None),
+    ("(1,2,007)", None),
+])
+def test_read_point_refuses_leading_zeros(chunk, point):
+    assert read_point(chunk) == point
