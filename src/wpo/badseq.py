@@ -30,7 +30,6 @@ from math import comb
 
 from .lowerset import (
     GeneralLowerSet,
-    LowerSetColumn,
     UNBOUNDED,
     _trusted,
     complement_points,
@@ -39,7 +38,7 @@ from .lowerset import (
     inclusion_masks,
     parse_gls,
 )
-from .monomial import IdealColumn, MonomialIdeal, format_ideal, parse_ideal
+from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
     OrdinalColumn,
@@ -53,7 +52,7 @@ from .ordinal import (
     parse_ordinal,
     predecessor,
 )
-from .vectors import format_point
+from .vectors import format_point, integer
 
 
 def descent_start(dim: int) -> Ordinal:
@@ -181,8 +180,10 @@ class _IdealFold:
     raises leaves the fold holding the terms before it.
 
     Both values are taken as built (``_staircase``, ``complement_points``):
-    the tests hold the checks, and ``verify`` reports a value that is not
-    canonical as a mismatch with the file's columns, checked when read.
+    the tests hold the checks.  ``check_derivations`` passes every value
+    through the checked constructors, and the reading tests compare
+    ``audit_file``, which takes a stored text equal to a value's text as
+    that value, with ``read_run``'s full parse.
     """
 
     def __init__(self, dim: int):
@@ -237,9 +238,10 @@ def _step(alpha: Ordinal, x: int) -> Ordinal:
     return fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
 
 
-def _derive(base: int, index: int, alpha: Ordinal, fold: _IdealFold) -> BadSequenceRecord:
-    """The record a run stores for ``alpha`` at ``index``."""
-    lset, norm, extent, ideal = fold.derive(alpha)
+def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenceRecord:
+    """The record a run stores for ``alpha`` at ``index``, from the
+    fold's derivation of alpha."""
+    lset, norm, extent, ideal = derived
     return BadSequenceRecord(
         index=index,
         alpha=alpha,
@@ -263,7 +265,7 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
     records = []
     for i in range(1, limit + 1):
         alpha = _step(alpha, base + i - 1)
-        records.append(_derive(base, i, alpha, fold))
+        records.append(_derive(base, i, alpha, fold.derive(alpha)))
         if alpha == ZERO:
             break
     return DescentRun(dim, base, start, tuple(records))
@@ -311,6 +313,13 @@ def verify_bad(run: DescentRun) -> BadnessReport:
     return BadnessReport(n, pairs, None)
 
 
+def _starts_a_run(start: Ordinal, dim: int) -> bool:
+    """Whether ``start`` has the form of descent_start(dim): w^E with E
+    of exactly dim >= 1 terms.  Checking that first keeps a huge
+    declared dim from being built at all."""
+    return len(start.terms) == 1 and len(start.terms[0][0].terms) == dim >= 1
+
+
 def audit_run(run: DescentRun) -> list:
     """Recompute everything derivable and collect discrepancies.
 
@@ -319,11 +328,15 @@ def audit_run(run: DescentRun) -> list:
     envelope, degrees stay under the same envelope, and extents stay
     at or under the norm.
     """
+    return _audit(run, [None] * len(run.records))
+
+
+def _audit(run: DescentRun, derived: list) -> list:
+    """``audit_run``, taking ``derived[k]``, when it is not None, as the
+    fold's derivation of record k's ordinal."""
     problems = []
     alpha = run.start
-    # descent_start(dim) is w^E with E of exactly dim >= 1 terms; checking
-    # that first keeps a huge declared dim from being built at all
-    if len(alpha.terms) != 1 or len(alpha.terms[0][0].terms) != run.dim or run.dim < 1:
+    if not _starts_a_run(alpha, run.dim):
         return [f"run starts at {alpha}, which no dimension-{run.dim} run does"]
     if alpha != descent_start(run.dim):
         problems.append(f"run starts at {alpha}, expected {descent_start(run.dim)}")
@@ -342,7 +355,7 @@ def audit_run(run: DescentRun) -> list:
         # keep auditing the stored trajectory; when the two are equal,
         # the next step then shares its terms with the next record's
         alpha = rec.alpha
-        want = _derive(run.base, rec.index, rec.alpha, fold)
+        want = _derive(run.base, rec.index, rec.alpha, derived[k] or fold.derive(rec.alpha))
         for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
             got, exp = getattr(rec, name), getattr(want, name)
             if got != exp:
@@ -413,12 +426,14 @@ def write_run(run: DescentRun, path: str) -> None:
 
 
 def _integer(text: str, least: int, what: str) -> int:
-    """``text`` as an int of at least ``least`` when it is ASCII digits
-    without a leading zero, the only form ``run_lines`` writes an
-    integer in; else a ValueError on ``what``.  ``int`` alone would also
-    take a sign, spaces, ``_``, leading zeros and non-ASCII digits."""
-    if text.isascii() and text.isdecimal() and str(n := int(text)) == text and n >= least:
-        return n
+    """``text`` as an int of at least ``least`` when ``vectors.integer``
+    reads it, as it reads every integer ``run_lines`` writes; else a
+    ValueError on ``what``."""
+    try:
+        if (n := integer(text)) >= least:
+            return n
+    except ValueError:
+        pass
     raise ValueError(f"{what}, which is not an integer >= {least}")
 
 
@@ -431,13 +446,37 @@ def _column_int(cols: list, k: int) -> int:
 
 
 def read_run(path: str) -> DescentRun:
+    """The run a record file holds, every column parsed in full."""
+    return _read(path, derive=False)[0]
+
+
+def audit_file(path: str) -> tuple:
+    """``read_run(path)`` and its ``audit_run``, from one pass that
+    derives each record once: the same run and problems, or the same
+    ValueError."""
+    run, derived = _read(path, derive=True)
+    return run, _audit(run, derived)
+
+
+def _read(path: str, derive: bool) -> tuple:
+    """The run a record file holds, and per record the fold's
+    derivation of its ordinal or None.
+
+    With ``derive`` set, records are derived while they are read once
+    the start header read before the first record is descent_start(dim),
+    so a fold is built only where the audit would build one: a start of
+    another form builds nothing, and a dim above MAX_GENERAL_DIM fails
+    in ``general_type`` before it sizes anything.  A lower-set or ideal text equal to the derived
+    value's text is that value; any other is parsed in full, so values
+    and errors are those of ``parse_gls``/``parse_ideal``.  A derivation
+    that raises gives None, and the audit raises it again only if it
+    gets to that record.
+    """
     headers = {}
-    records = []
+    records, derived = [], []
     dim = None  # read from its header before the first record
     # consecutive records of a descent share all but a short tail of
-    # their ordinal's text, so each parse resumes where the texts differ,
-    # and most of their boxes and generators, so each is read once a file
-    # and a list the canonical sweep refuses is parsed in full
+    # their ordinal's text, so each parse resumes where the texts differ
     ordinals = OrdinalColumn()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -455,20 +494,29 @@ def read_run(path: str) -> DescentRun:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
             if dim is None:
                 dim = _header_int(headers, "dim", 1)
-                lower_sets, ideals = LowerSetColumn(dim), IdealColumn(dim)
+                fold = None
+                with suppress(ValueError):
+                    start = parse_ordinal(headers.get("start", ""))
+                    if derive and _starts_a_run(start, dim) and start == descent_start(dim):
+                        fold = _IdealFold(dim)
+                # as in run_lines, each distinct box and generator of a
+                # file is formatted once
+                box, point = cache(format_box), cache(format_point)
             try:
-                records.append(
-                    BadSequenceRecord(
-                        index=_column_int(cols, 0),
-                        alpha=ordinals.parse(cols[1]),
-                        lower_set=lower_sets.read(cols[2]) or parse_gls(cols[2], dim),
-                        norm=_column_int(cols, 3),
-                        extent=_column_int(cols, 4),
-                        ideal=ideals.read(cols[5]) or parse_ideal(cols[5], dim),
-                        degree=_column_int(cols, 6),
-                        bound=_column_int(cols, 7),
-                    )
-                )
+                index = _column_int(cols, 0)
+                alpha = ordinals.parse(cols[1])
+                want = None
+                if fold:
+                    with suppress(ValueError):
+                        want = fold.derive(alpha)
+                derived.append(want)
+                lset = (want[0] if want and cols[2] == format_gls(want[0], box)
+                        else parse_gls(cols[2], dim))
+                norm, extent = _column_int(cols, 3), _column_int(cols, 4)
+                ideal = (want[3] if want and cols[5] == format_ideal(want[3], point)
+                         else parse_ideal(cols[5], dim))
+                records.append(BadSequenceRecord(index, alpha, lset, norm, extent, ideal,
+                                                 _column_int(cols, 6), _column_int(cols, 7)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     for key in ("dim", "base", "start", "records"):
@@ -481,9 +529,6 @@ def read_run(path: str) -> DescentRun:
         raise ValueError(
             f"header says {headers['records']} records but the file holds {len(records)}"
         )
-    return DescentRun(
-        dim=dim,
-        base=base,
-        start=parse_ordinal(headers["start"]),
-        records=tuple(records),
-    )
+    run = DescentRun(dim=dim, base=base, start=parse_ordinal(headers["start"]),
+                     records=tuple(records))
+    return run, derived

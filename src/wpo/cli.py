@@ -15,19 +15,20 @@ from .lowerset import format_fls, parse_fls, parse_gls
 from .monomial import complement_ideal, complement_lowerset, format_ideal, parse_ideal, pretty_ideal
 from .ordinal import (MAX_GENERAL_DIM, bounded_type, descend, format_ordinal, general_type,
                       hardy, parse_ordinal)
+from .vectors import NATURAL, integer
 
 
 def cmd_type(args) -> int:
     d = "".join(args.descriptor.split())
-    m = re.fullmatch(r"D\(N(?:\^(\d+))?\)", d)
+    m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?\)", d)
     if m:
         print(format_ordinal(bounded_type(int(m.group(1) or 1), 1)))
         return 0
-    m = re.fullmatch(r"D\(N(?:\^(\d+))?x(\d+)\)", d)
+    m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?x({NATURAL})\)", d)
     if m:
         print(format_ordinal(bounded_type(int(m.group(1) or 1), int(m.group(2)))))
         return 0
-    m = re.fullmatch(r"I\(N(?:\^(\d+))?\)", d)
+    m = re.fullmatch(rf"I\(N(?:\^({NATURAL}))?\)", d)
     if m:
         print(format_ordinal(general_type(int(m.group(1) or 1))))
         return 0
@@ -83,8 +84,7 @@ def cmd_badseq(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = bs.read_run(args.path)
-    problems = bs.audit_run(run)
+    run, problems = bs.audit_file(args.path)
     report = bs.verify_bad(run)
     print(f"records: {report.count}")
     print(f"audit problems: {len(problems)}")
@@ -101,11 +101,11 @@ def cmd_verify(args) -> int:
 
 def _parse_box(text: str) -> tuple:
     try:
-        box = tuple(int(p) for p in text.lower().split("x"))
+        box = tuple(map(integer, text.lower().split("x")))
     except ValueError:
-        raise ValueError(f"cannot read box {text!r}; expected e.g. 4x4") from None
+        box = ()
     if not box or any(e < 1 for e in box):
-        raise ValueError(f"cannot read box {text!r}; expected e.g. 4x4")
+        raise ValueError(f"cannot read --box {text!r}; expected e.g. 4x4")
     return box
 
 
@@ -173,25 +173,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ord", help="ordinal rank of a finite lower set")
     p.add_argument("lower_set", help="generator list, e.g. {(0,1);(1,0)}")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=integer, default=None)
     p.set_defaults(func=cmd_ord)
 
     p = sub.add_parser("hardy", help="evaluate a Hardy function")
     p.add_argument("alpha")
-    p.add_argument("x", type=int)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("x", type=integer)
+    p.add_argument("--budget", type=integer, default=1_000_000)
     p.set_defaults(func=cmd_hardy)
 
     p = sub.add_parser("descend", help="fundamental-sequence descent trace")
     p.add_argument("alpha")
-    p.add_argument("--base", type=int, default=1)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--base", type=integer, default=1)
+    p.add_argument("--limit", type=integer, default=100)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("badseq", help="generate a bad-sequence record file")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-K", dest="base", type=int, default=2)
-    p.add_argument("-n", dest="count", type=int, required=True)
+    p.add_argument("-m", type=integer, required=True)
+    p.add_argument("-K", dest="base", type=integer, default=2)
+    p.add_argument("-n", dest="count", type=integer, required=True)
     p.add_argument("-o", dest="out", default=None)
     p.set_defaults(func=cmd_badseq)
 
@@ -202,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run a brute-force property suite")
     p.add_argument("suite", choices=("monotone", "phi", "inclusion", "ideal", "spec"))
     p.add_argument("--box", default="4x4")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-extent", type=int, default=3)
-    p.add_argument("--max-rects", type=int, default=3)
+    p.add_argument("--m", type=integer, default=2)
+    p.add_argument("--pairs", type=integer, default=1000)
+    p.add_argument("--samples", type=integer, default=200)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--max-extent", type=integer, default=3)
+    p.add_argument("--max-rects", type=integer, default=3)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ideal", help="complement ideal of a lower set")
     p.add_argument("lower_set", nargs="?", default=None)
     p.add_argument("--gens", default=None, help="reverse: lower set of an ideal")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=integer, default=None)
     p.set_defaults(func=cmd_ideal)
 
     return parser

@@ -32,7 +32,6 @@ from .vectors import (
     maximal_points,
     minimal_points,
     parse_points,
-    read_canonical,
 )
 
 UNBOUNDED = float("inf")
@@ -547,26 +546,3 @@ def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
     if dim is None:
         dim = len(rects[0])
     return GeneralLowerSet.make(dim, rects)
-
-
-class LowerSetColumn:
-    """Reads a column of lower-set texts of dimension ``dim``, as the
-    records of a file hold them, each distinct box text once.
-
-    ``read(text)`` is the lower set of a canonical text: boxes of
-    ``dim`` nonzero extents that ``maximal_points`` gives back
-    unchanged (``vectors.read_canonical``).  It is None for any other
-    text, which ``parse_gls(text, dim)`` then reads or refuses.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._boxes: dict = {}
-
-    def _box(self, chunk: str):
-        r = read_box(chunk)
-        return r if r and len(r) == self.dim and 0 not in r else None
-
-    def read(self, text: str):
-        rects = read_canonical(text, "u", self._boxes, self._box, maximal_points, self.dim)
-        return None if rects is None else _trusted(GeneralLowerSet, dim=self.dim, rects=rects)

@@ -13,15 +13,7 @@ from_complement); this module wraps its points in ideals.
 from dataclasses import dataclass
 
 from .lowerset import GeneralLowerSet, _trusted, complement_points, from_complement
-from .vectors import (
-    dominates,
-    format_point,
-    format_points,
-    minimal_points,
-    parse_points,
-    read_canonical,
-    read_point,
-)
+from .vectors import dominates, format_point, format_points, minimal_points, parse_points
 
 _VARS = ("X", "Y", "Z")
 
@@ -113,29 +105,6 @@ def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
         return zero_ideal(dim)
     gens = parse_points(text, dim, "bad exponent vector")
     return MonomialIdeal.make(len(gens[0]), gens)
-
-
-class IdealColumn:
-    """Reads a column of ideal texts of dimension ``dim``, as the
-    records of a file hold them, each distinct generator text once.
-
-    ``read(text)`` is the ideal of a canonical text: generators of
-    ``dim`` coordinates that ``minimal_points`` gives back unchanged
-    (``vectors.read_canonical``).  It is None for any other text, which
-    ``parse_ideal(text, dim)`` then reads or refuses.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._gens: dict = {}
-
-    def _gen(self, chunk: str):
-        g = read_point(chunk)
-        return g if g and len(g) == self.dim else None
-
-    def read(self, text: str):
-        gens = read_canonical(text, ";", self._gens, self._gen, minimal_points, self.dim)
-        return None if gens is None else _trusted(MonomialIdeal, dim=self.dim, gens=gens)
 
 
 def _var(t: int, dim: int) -> str:

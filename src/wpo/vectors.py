@@ -3,7 +3,8 @@
 Everything here works on plain tuples.  Coordinates may be ints or
 float("inf"); all comparisons are componentwise.  The text form of a
 point list, shared by finite lower sets and monomial ideals, is also
-here: ``(0,1);(1,0)``.
+here: ``(0,1);(1,0)``, with the one grammar of the numbers that record
+files and the command line are written in (``NATURAL``, ``integer``).
 """
 
 import re
@@ -127,6 +128,16 @@ def maximal_points(points, dim: int) -> list:
 NATURAL = "(?:0|[1-9][0-9]*)"  # a coordinate of a box or point: ASCII, no leading 0
 
 
+def integer(text: str) -> int:
+    """``text`` as an int when it is ASCII and ``str`` gives it back:
+    an optional ``-`` and digits without a leading zero.  ``int`` alone
+    also takes spaces, ``+``, ``_``, leading zeros, ``-0`` and non-ASCII
+    digits such as ``٣``."""
+    if text.isascii() and str(n := int(text)) == text:
+        return n
+    raise ValueError(f"not an integer: {text!r}")
+
+
 def format_point(p: tuple) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 
@@ -161,28 +172,3 @@ def parse_points(text: str, dim: int | None, what: str) -> list:
         if len(p) != dim:
             raise ValueError(f"{what} {p} for dimension {dim}")
     return points
-
-
-def read_canonical(text: str, sep: str, memo: dict, item, sweep, dim: int):
-    """The items of ``text``, split at ``sep``, as a tuple when the list
-    is canonical: every chunk reads and ``sweep(items, dim)`` gives the
-    list back unchanged, so it is sorted, without repeats, and nothing
-    in it is dominated.  None otherwise: the caller then parses ``text``
-    in full, which gives the value or the error the text alone gives.
-
-    ``item(chunk)`` is a chunk's item, or None when no canonical list
-    of the column holds the chunk.  ``memo`` maps each chunk read so far
-    to its item, so a column whose records share most of their items
-    reads each distinct chunk once.  Only the sweep decides whether a
-    list is canonical, never what an earlier list held.
-    """
-    chunks = text.split(sep)
-    items = list(map(memo.get, chunks))
-    if None in items:
-        for k, chunk in enumerate(chunks):
-            if items[k] is None:
-                v = item(chunk)
-                if v is None:
-                    return None
-                items[k] = memo[chunk] = v
-    return tuple(items) if sweep(items, dim) == items else None

@@ -12,6 +12,7 @@ from wpo.badseq import (
     BadSequenceRecord,
     BadnessReport,
     DescentRun,
+    audit_file,
     audit_run,
     descent_start,
     generate,
@@ -26,7 +27,6 @@ from wpo.badseq import (
 from wpo.lowerset import (
     UNBOUNDED,
     GeneralLowerSet,
-    LowerSetColumn,
     format_box,
     format_gls,
     full_space,
@@ -34,13 +34,13 @@ from wpo.lowerset import (
     parse_gls,
 )
 from wpo.monomial import (
-    IdealColumn,
     MonomialIdeal,
     complement_ideal,
     format_ideal,
     parse_ideal,
     unit_ideal,
 )
+from wpo.cli import main
 from wpo.vectors import format_point
 from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import (
@@ -250,7 +250,7 @@ def check_derivations(dim, alphas):
                 fold.derive(alpha)
             continue
         lset = GeneralLowerSet.make(dim, rects)
-        rec = badseq._derive(2, len(records) + 1, alpha, fold)
+        rec = badseq._derive(2, len(records) + 1, alpha, fold.derive(alpha))
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
         # the fold takes its lower set and ideal as built: the checked
         # constructors accept them
@@ -629,101 +629,152 @@ class TestRecordFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["run.rec"]
 
 
-def outcome(parse, text):
-    """parse(text), or the type and message of its ValueError."""
+def outcome(call):
+    """call(), or the type and message of its ValueError."""
     try:
-        return parse(text)
+        return call()
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def tampered_column(rng, texts, sep, fmt, empty, malformed):
-    """A column as a tampered file may hold it: the canonical ``texts``
-    of a run in order, with texts near the one before among them, each
-    of whose items may have been read before.  ``fmt`` formats an item,
-    ``empty`` is the text of no items, and ``malformed`` are chunks of
-    no canonical list."""
-    out = []
-    for text in texts:
-        out.append(text)
-        chunks = [] if text == empty else text.split(sep)
-        for _ in range(rng.randint(0, 2)):
-            items = list(chunks)
-            move = rng.randrange(8)
-            if move == 0:
-                rng.shuffle(items)
-            elif move == 1 and items:
-                items.insert(rng.randrange(len(items) + 1), rng.choice(items))
-            elif move == 2 and items:
-                # an item changed, in place of the old one or beside it: a
-                # box one smaller or a generator one larger, which the old
-                # one dominates; a 0 extent; one coordinate more or less
-                k = rng.randrange(len(items))
-                p = (parse_gls if sep == "u" else parse_ideal)(items[k])
-                v = list(p.rects[0] if sep == "u" else p.gens[0])
-                t = rng.randrange(len(v))
-                change = rng.randrange(4)
-                if change == 0 and sep == "u":
-                    v[t] = 1 if v[t] == UNBOUNDED else max(v[t] - 1, 1)
-                elif change == 0:
-                    v[t] += 1
-                elif change == 1:
-                    v[t] = 0
-                elif change == 2:
-                    v.append(v[t])
-                else:
-                    del v[t]
-                new = fmt(tuple(v))
-                items[k:k + 1] = rng.choice([[new], [items[k], new], [new, items[k]]])
-            elif move == 3 and items:
-                del items[rng.randrange(len(items))]
-            elif move == 4:
-                items.insert(rng.randrange(len(items) + 1), rng.choice(malformed))
-            elif move == 5:
-                items = [empty]
-            elif move == 6:
-                items = rng.choice(texts).split(sep)
-            out.append(sep.join(items) if items else empty)
-    return out
+def tampered(rng, text, texts, sep, fmt, empty, malformed):
+    """``text``, a lower-set or ideal column of a record, as a tampered
+    file may hold it.  Its items are shuffled, one is repeated, changed,
+    dropped or joined by one of the ``malformed`` chunks, or the whole
+    text becomes ``empty`` (the text of no items) or another of the
+    run's ``texts``.  ``fmt`` formats an item."""
+    items = [] if text == empty else text.split(sep)
+    move = rng.randrange(7)
+    if move == 0:
+        rng.shuffle(items)
+    elif move == 1 and items:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+    elif move == 2 and items:
+        # an item changed, in place of the old one or beside it: a box
+        # one smaller or a generator one larger, which the old one
+        # dominates; a 0 extent; one coordinate more or less
+        k = rng.randrange(len(items))
+        p = (parse_gls if sep == "u" else parse_ideal)(items[k])
+        v = list(p.rects[0] if sep == "u" else p.gens[0])
+        t = rng.randrange(len(v))
+        change = rng.randrange(4)
+        if change == 0 and sep == "u":
+            v[t] = 1 if v[t] == UNBOUNDED else max(v[t] - 1, 1)
+        elif change == 0:
+            v[t] += 1
+        elif change == 1:
+            v[t] = 0
+        elif change == 2:
+            v.append(v[t])
+        else:
+            del v[t]
+        new = fmt(tuple(v))
+        items[k:k + 1] = rng.choice([[new], [items[k], new], [new, items[k]]])
+    elif move == 3 and items:
+        del items[rng.randrange(len(items))]
+    elif move == 4:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(malformed))
+    elif move == 5:
+        items = []
+    elif move == 6:
+        items = rng.choice(texts).split(sep)
+    return sep.join(items) if items else empty
 
 
-class TestColumnReaders:
-    """One LowerSetColumn or IdealColumn fed a whole column, with
-    parse_gls or parse_ideal for the texts it does not take, gives for
-    each text what the parse gives for that text alone: the same value
-    or the same error.  The items of a reordered,
-    repeated or dominated list have all been read before, so only the
-    canonical check can refuse it."""
+COLUMN_TAMPERING = {
+    2: ("u", format_box, "empty", ["[1,,2]", "[", "", " [1]", "[2,x]", "(1)", "[-1]", "[01]"]),
+    5: (";", format_point, "0", ["(1,,2)", "(", "", " (1)", "(2,x)", "[1]", "(-1)", "empty"]),
+}
 
-    def check_column(self, reader, parse, column, canonical):
-        # read_run's composition: the reader, else a parse in full
-        got = [outcome(lambda t: reader.read(t) or parse(t), t) for t in column]
-        assert got == [outcome(parse, t) for t in column]
-        # the column reaches the canonical path and both fallbacks
-        kinds = {"error" if isinstance(g, tuple) else canonical(g) == t
-                 for g, t in zip(got, column)}
+
+def tampered_files(rng, dim, lines):
+    """(what, lines) of copies of the record file ``lines``: clean, one
+    lower-set or ideal column tampered, an ordinal, index or norm
+    changed, a record dropped, a wrong ``records`` header, and the
+    headers after the records."""
+    head, body = lines[:7], lines[7:]
+    rows = [line.split("|") for line in body]
+
+    def with_cell(k, column, text):
+        cols = list(rows[k])
+        cols[column] = text
+        return head + body[:k] + ["|".join(cols)] + body[k + 1:]
+
+    yield "clean", lines
+    for _ in range(8):
+        k = rng.randrange(len(rows))
+        for column, (sep, fmt, empty, malformed) in COLUMN_TAMPERING.items():
+            text = tampered(rng, rows[k][column], [r[column] for r in rows],
+                            sep, fmt, empty, malformed)
+            yield f"record {k + 1} column {column} {text}", with_cell(k, column, text)
+    for _ in range(3):
+        k = rng.randrange(len(rows))
+        for column, text in [
+            (1, rng.choice(rows)[1]),
+            (1, format_ordinal(rand_staircase_ordinal(rng, dim))),
+            (1, format_ordinal(omega_pow(omega_pow(dim)))),  # not below the start
+            (1, rows[k][1] + "+"),
+            (0, rng.choice([str(k), str(k + 2), "x"])),
+            (3, str(int(rows[k][3]) + 1)),
+        ]:
+            yield f"record {k + 1} column {column} {text}", with_cell(k, column, text)
+        yield f"record {k + 1} dropped", head + body[:k] + body[k + 1:]
+    yield "records header", [f"# records: {len(rows) + 1}" if line.startswith("# records:")
+                             else line for line in lines]
+    yield "headers after the records", body + head
+    # the dim header alone before the records: no start to guard a fold
+    yield "start after the records", head[1:2] + body + head[:1] + head[2:]
+    start = head.index(f"# start: {format_ordinal(descent_start(dim))}")
+    for text in ("w", format_ordinal(omega_pow(omega_pow(dim))), "w^w+"):
+        yield f"start {text}", head[:start] + [f"# start: {text}"] + head[start + 1:] + body
+
+
+def reference_audit(path):
+    """``audit_file``'s reference: read_run, every column parsed in full,
+    then audit_run."""
+    run = read_run(path)
+    return run, audit_run(run)
+
+
+class TestAuditFile:
+    """``audit_file``, the one pass of ``wpo verify``, gives what read_run
+    and audit_run give: the same run and problems, or the same error."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_read_run_and_audit_run(self, dim, tmp_path, capsys, monkeypatch):
+        rng = random.Random(1300 + dim)
+        path = tmp_path / "run.rec"
+        kinds = set()
+        for base in (2, 3):
+            lines = run_lines(generate(dim, base, 20))
+            for what, tampered_lines in tampered_files(rng, dim, lines):
+                path.write_text("\n".join(tampered_lines) + "\n")
+                got = outcome(lambda: audit_file(str(path)))
+                assert got == outcome(lambda: reference_audit(str(path))), what
+                kinds.add("error" if isinstance(got[0], type) else bool(got[1]))
+                # and so wpo verify prints and exits as before
+                shown = main(["verify", str(path)]), capsys.readouterr()
+                with monkeypatch.context() as patch:
+                    patch.setattr(badseq, "audit_file", reference_audit)
+                    assert (main(["verify", str(path)]), capsys.readouterr()) == shown, what
         assert kinds == {"error", True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_lower_set_column(self, dim):
-        rng = random.Random(1300 + dim)
-        texts = [format_gls(r.lower_set) for base in (1, 2, 3)
-                 for r in generate(dim, base, 40).records]
-        texts += [format_gls(rand_gls(rng, dim, max_rects=6)) for _ in range(40)]
-        column = tampered_column(rng, texts, "u", format_box, "empty",
-                                 ["[1,,2]", "[", "", " [1]", "[2,x]", "(1)", "[-1]"])
-        self.check_column(LowerSetColumn(dim), lambda t: parse_gls(t, dim), column, format_gls)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_ideal_column(self, dim):
-        rng = random.Random(1400 + dim)
-        texts = [format_ideal(r.ideal) for base in (1, 2, 3)
-                 for r in generate(dim, base, 40).records]
-        texts += [format_ideal(complement_ideal(rand_gls(rng, dim, max_rects=6)))
-                  for _ in range(40)]
-        column = tampered_column(rng, texts, ";", format_point, "0",
-                                 ["(1,,2)", "(", "", " (1)", "(2,x)", "[1]", "(-1)", "empty"])
-        self.check_column(IdealColumn(dim), lambda t: parse_ideal(t, dim), column, format_ideal)
+    def test_clean_records_are_taken_as_derived(self, dim, tmp_path):
+        path = tmp_path / "run.rec"
+        write_run(generate(dim, 2, 40), str(path))
+        run, derived = badseq._read(str(path), derive=True)
+        assert all(r.lower_set is d[0] and r.ideal is d[3]
+                   for r, d in zip(run.records, derived))
+        # a list with a repeated box is parsed, to the same value
+        lines = path.read_text().splitlines()
+        cols = lines[7].split("|")
+        cols[2] += "u" + cols[2].split("u")[0]
+        lines[7] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        run2, derived2 = badseq._read(str(path), derive=True)
+        assert run2 == run and derived2 == derived
+        assert run2.records[0].lower_set is not derived2[0][0]
 
 
 class TestSymbolicBound:

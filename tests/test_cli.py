@@ -51,6 +51,16 @@ class TestTypeCommand:
         assert code == 2
         assert "cannot read space descriptor" in err
 
+    # numbers are read as everywhere else (vectors.NATURAL): "\u0663" is
+    # ARABIC-INDIC DIGIT THREE and "\u00b2" SUPERSCRIPT TWO
+    @pytest.mark.parametrize("descriptor", [
+        "D(N^\u0663)", "I(N^02)", "D(N^2x\u0663)", "D(N^\u00b2)", "I(N^+1)", "D(N^2x03)",
+    ])
+    def test_descriptor_numbers_are_ascii_naturals(self, capsys, descriptor):
+        code, out, err = run_cli(capsys, "type", descriptor)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read space descriptor {descriptor!r}")
+
     def test_dimension_bound(self, capsys):
         code, out, _ = run_cli(capsys, "type", f"I(N^{MAX_GENERAL_DIM})")
         assert code == 0 and out.startswith(f"w^(w^{MAX_GENERAL_DIM - 1}+")
@@ -123,6 +133,50 @@ def test_dim_out_of_range_fails_fast(capsys, argv, dim):
     assert time.perf_counter() - began < 1
     assert code == 2 and out == ""
     assert err == f"error: need 0 <= dim <= {MAX_GENERAL_DIM}\n"
+
+
+# each integer option, with an argv in which VALUE stands for its text
+INTEGER_OPTIONS = [
+    ("--dim", ["ord", "{(0,1)}", "--dim", "VALUE"]),
+    ("--dim", ["ideal", "empty", "--dim", "VALUE"]),
+    ("x", ["hardy", "w", "VALUE"]),
+    ("--budget", ["hardy", "w", "2", "--budget", "VALUE"]),
+    ("--base", ["descend", "w^2", "--base", "VALUE"]),
+    ("--limit", ["descend", "w^2", "--limit", "VALUE"]),
+    ("-m", ["badseq", "-m", "VALUE", "-n", "3"]),
+    ("-K", ["badseq", "-m", "2", "-K", "VALUE", "-n", "3"]),
+    ("-n", ["badseq", "-m", "2", "-n", "VALUE"]),
+    ("--m", ["oracle", "inclusion", "--m", "VALUE"]),
+    ("--pairs", ["oracle", "inclusion", "--pairs", "VALUE"]),
+    ("--samples", ["oracle", "spec", "--samples", "VALUE"]),
+    ("--seed", ["oracle", "inclusion", "--seed", "VALUE"]),
+    ("--max-extent", ["oracle", "phi", "--max-extent", "VALUE"]),
+    ("--max-rects", ["oracle", "phi", "--max-rects", "VALUE"]),
+    ("--box", ["oracle", "monotone", "--box", "2xVALUE"]),
+]
+
+
+# int() reads each of these but "\u00b2" (SUPERSCRIPT TWO); "\u0663" is
+# ARABIC-INDIC DIGIT THREE
+@pytest.mark.parametrize("option,argv", INTEGER_OPTIONS,
+                         ids=[f"{argv[0]} {option}" for option, argv in INTEGER_OPTIONS])
+@pytest.mark.parametrize("text", ["\u0663", "\u00b2", "02", "+1", "1_0", " 1", "-0"])
+def test_integer_options_read_ascii_integers(capsys, option, argv, text):
+    argv = [a.replace("VALUE", text) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    if option == "--box":
+        assert err == f"error: cannot read --box {argv[-1]!r}; expected e.g. 4x4\n"
+    else:
+        assert f"error: argument {option}: invalid integer value: {text!r}" in err
+
+
+def test_negative_integers_still_read(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "inclusion", "--seed", "-3", "--pairs", "5")
+    assert code == 0 and out.endswith("seed: -3\n")
+    code, out, err = run_cli(capsys, "hardy", "w", "-3")
+    assert code == 2 and err.startswith("error: need x >= 0")
 
 
 def test_dim_at_the_bounds(capsys):
@@ -449,11 +503,12 @@ class TestBadseqVerify:
     @pytest.mark.parametrize("records", [[], ["1|0|empty|0|0|0|0|9", "2|0|empty|0|0|0|0|16"]])
     def test_huge_dimension_fails_fast(self, capsys, tmp_path, monkeypatch, records):
         # a start of the wrong form is reported without building the
-        # start of a 10**9-dimensional run
+        # start, or a fold, of a 10**9-dimensional run
         def refuse(dim):
             raise AssertionError(f"built descent_start({dim})")
 
         monkeypatch.setattr(badseq, "descent_start", refuse)
+        monkeypatch.setattr(badseq, "_IdealFold", refuse)
         path = tmp_path / "huge.rec"
         head = ["# descent run", "# dim: 1000000000", "# base: 2",
                 "# start: w^(w+2)", f"# records: {len(records)}"]
@@ -463,6 +518,25 @@ class TestBadseqVerify:
         assert time.perf_counter() - began < 5
         assert code == 1
         assert "  run starts at w^(w+2), which no dimension-1000000000 run does" in out
+
+    @pytest.mark.parametrize("dim", [MAX_GENERAL_DIM + 1, 5000])
+    def test_dimension_above_bound_verify_fails_fast(self, capsys, tmp_path, monkeypatch, dim):
+        # a start of the right form above the bound builds no fold: the
+        # audit refuses the dimension as audit_run does
+        def refuse(dim):
+            raise AssertionError(f"built a fold of dim {dim}")
+
+        monkeypatch.setattr(badseq, "_IdealFold", refuse)
+        exponent = "+".join([f"w^{e}" for e in range(dim - 1, 1, -1)] + ["w", "1"])
+        path = tmp_path / "huge.rec"
+        path.write_text("\n".join(["# descent run", f"# dim: {dim}", "# base: 2",
+                                   f"# start: w^({exponent})", "# records: 1",
+                                   "1|w^5|empty|0|0|0|0|9"]) + "\n")
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert time.perf_counter() - began < 5
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= m <= {MAX_GENERAL_DIM}\n"
 
 
 class TestOracleCommand:
