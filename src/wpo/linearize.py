@@ -10,20 +10,19 @@ finite grid.
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import product
 
-from .lowerset import GeneralLowerSet, enumerate_fls, generators, inclusion_masks
-from .ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum
+from .lowerset import GeneralLowerSet, enumerate_fls, generators
+from .ordinal import ONE, ZERO, Ordinal, _trusted, add, compare, from_int, natural_sum
 
 
 def lex_ordinal(vec) -> Ordinal:
-    """Position of vec in the lexicographic well-order of N^len(vec)."""
+    """Position of vec, a point of N^len(vec), in the lexicographic
+    well-order: w^(k-1-i) times v_i summed over the nonzero v_i.  The
+    exponents fall with i and the coefficients are positive, so the
+    terms are in normal form as built."""
     k = len(vec)
-    terms = []
-    for i, v in enumerate(vec):
-        if v:
-            terms.append((from_int(k - 1 - i), v))
-    return Ordinal(tuple(terms))
+    return _trusted(tuple([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v]))
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
     for g in gens:
         if g[-1] == 0:
             continue
-        term = Ordinal(((lex_ordinal(g[:-1]), g[-1]),))
+        term = _trusted(((lex_ordinal(g[:-1]), g[-1]),))  # one term, coefficient >= 1
         total = natural_sum(total, term)
         contribs.append((g, term))
     return RankAssignment(f, add(total, ONE), tuple(contribs))
@@ -66,24 +65,54 @@ class MonotoneReport:
 def check_monotone(box) -> MonotoneReport:
     """Exhaustive monotonicity check of ordinal_rank inside ``box``.
 
-    Every ordered pair of lower sets of the grid is examined; for the
-    included ones the ranks must not reverse.  Inclusion is decided on
-    box-dominance bitmasks (``inclusion_masks``), independently of the
-    rank construction.
+    Every ordered pair (i, j) of lower sets of the grid is decided, and
+    a violation is one where sets[i] <= sets[j] but rank i > rank j;
+    they are reported in row-major order.  Inclusion is decided on
+    membership, independently of the rank construction: a bounded set
+    lies inside another exactly when each of its generators does.
+
+    ``within[r]`` has bit j set when sets[j] holds the corner r-1 of
+    grid box r.  One sweep from the top of the grid fills it: a grid
+    point lies in a set when it is one of the set's generators or when
+    a point one step above it lies in the set.  Walking the sets from
+    the lowest rank up, the partners of set i are those ranked strictly
+    below it ANDed with ``within`` of each of its boxes.
     """
     box = tuple(box)
     sets = list(enumerate_fls(box))
-    masks = inclusion_masks(sets)
     ranks = [ordinal_rank(f).value for f in sets]
-    # each rank's place in the sorted distinct ranks: one int comparison per pair
-    order = {r: k for k, r in enumerate(sorted(set(ranks), key=cmp_to_key(compare)))}
-    places = [order[r] for r in ranks]
-    violations = []
     n = len(sets)
-    for i in range(n):
-        mi = masks[i]
-        pi = places[i]
-        for j in range(n):
-            if pi > places[j] and not mi & ~masks[j]:
-                violations.append((sets[i], sets[j], ranks[i], ranks[j]))
+    within = {}
+    for j, s in enumerate(sets):
+        for r in s.rects:
+            within[r] = within.get(r, 0) | 1 << j
+    # reverse lexicographic order: every point one step above r comes first
+    for r in product(*[range(e, 0, -1) for e in box]):
+        w = within.get(r, 0)
+        for t, e in enumerate(box):
+            if r[t] < e:
+                w |= within[r[:t] + (r[t] + 1,) + r[t + 1:]]
+        within[r] = w
+    partners = [0] * n  # bit j of partners[i]: (i, j) is a violation
+    below = 0  # the sets ranked strictly below the current rank
+    level = 0  # the sets of the current rank seen so far
+    prev = None
+    for i in sorted(range(n), key=ranks.__getitem__):  # Ordinal.__lt__ is compare
+        if prev is not None and compare(ranks[prev], ranks[i]):
+            below |= level
+            level = 0
+        level |= 1 << i
+        prev = i
+        m = below
+        for r in sets[i].rects:
+            if not m:
+                break
+            m &= within[r]
+        partners[i] = m
+    violations = []
+    for i, m in enumerate(partners):
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            violations.append((sets[i], sets[j], ranks[i], ranks[j]))
     return MonotoneReport(box, n, n * n, tuple(violations))

@@ -411,6 +411,17 @@ def enumerate_fls(box):
     always 0).  Raises ValueError on a volume above
     ENUMERATION_GUARD, at once on a volume of MAX_LOWER_SETS or more,
     and once more than MAX_LOWER_SETS sets have turned up.
+
+    Each set is built from ``tops`` without a check, as its canonical
+    boxes: p+1 for each point p of tops, sorted.  ``chosen`` is a lower
+    set, since a point is taken only after its immediate predecessors,
+    and ``tops`` stays exactly its maximal points.  A point p is taken
+    after every chosen point in lexicographic order, a linear extension
+    of the product order, so no chosen point lies above p and p is
+    maximal.  A maximal point q < p is one of p's immediate
+    predecessors: q lies at or below some p - e_t, which is chosen, and
+    q < p - e_t would make q not maximal.  So taking p removes from
+    ``tops`` exactly the points of ``preds[k]`` in it and adds p.
     """
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
@@ -451,7 +462,8 @@ def enumerate_fls(box):
             found += 1
             if found > MAX_LOWER_SETS:
                 raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
-            yield closure(list(tops), dim)
+            rects = tuple([tuple(c + 1 for c in p) for p in sorted(tops)])
+            yield _trusted(GeneralLowerSet, dim=dim, rects=rects)
         else:
             if all(q in chosen for q in preds[k]):
                 stack += [("drop", k, tops), ("visit", k + 1, None), ("add", k, None)]

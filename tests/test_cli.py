@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import shlex
 import subprocess
@@ -7,12 +9,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from support import rand_ordinal
 
 from wpo import badseq, linearize, oracles
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import main
 from wpo.lowerset import closure
-from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING
+from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING, format_ordinal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -567,6 +572,14 @@ class TestOracleCommand:
         assert code == 0
         assert out.strip() == "monotone box=1x1500: 1501 sets, 2253001 pairs, 0 violations"
 
+    def test_monotone_many_unit_axes(self, capsys):
+        # one grid point in 20,000 axes: no axis has a point above it
+        box = "x".join(["1"] * 20_000)
+        began = time.perf_counter()
+        code, out, _ = run_cli(capsys, "oracle", "monotone", "--box", box)
+        assert time.perf_counter() - began < 1
+        assert code == 0 and out == f"monotone box={box}: 2 sets, 4 pairs, 0 violations\n"
+
     def test_monotone_too_many_sets(self, capsys):
         # 12,870 lower sets: refused once the 5001st turns up
         code, out, err = run_cli(capsys, "oracle", "monotone", "--box", "8x8")
@@ -639,6 +652,115 @@ class TestOracleCommand:
             "  {(0,0)} <= {(0,2)} but 3 > 1",
             "  {(0,1)} <= {(0,2)} but 2 > 1",
         ]
+
+
+def _tokens(*alphabet, most=6):
+    return st.lists(st.sampled_from(alphabet), max_size=most).map("".join)
+
+
+def _joined(sep, item, least=1, most=3, fmt="{}"):
+    items = st.lists(item, min_size=least, max_size=most)
+    return items.map(lambda xs: fmt.format(sep.join(xs)))
+
+
+def _points(sep, coordinate, fmt):
+    """One to three points or boxes, all of one dimension from 1 to 3."""
+    return st.integers(1, 3).flatmap(
+        lambda d: _joined(sep, _joined(",", coordinate, least=d, most=d, fmt=fmt)))
+
+
+# Each slot of a command line is a (well-formed, hostile) pair of
+# strategies.  Every size is small: a well-formed count is at most 2, a
+# dimension or box extent at most 3, and only the --dim and --box
+# guards, which refuse at once, see a huge one.  "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO.
+SMALL = st.sampled_from(["0", "1", "2"])
+BAD_NUMBER = st.sampled_from(
+    ["-1", "-0", "02", "+1", "1_0", " 1", "\u0663", "\u00b2", "", "w", "^", "[1]"])
+NUMBER = (SMALL, BAD_NUMBER)
+ORDINAL = (
+    st.randoms(use_true_random=False).map(lambda rng: format_ordinal(rand_ordinal(rng))),
+    _tokens("w", "^", "(", ")", "+", "*", "0", "1", "2", "02", "\u0663", "[", "]", " "),
+)
+BAD_SET = _tokens("{", "}", "(", ")", "[", "]", ",", ";", "u", "w", "0", "1", "02", "\u0663",
+                  "-", "empty", most=8)
+GENERATORS = (_points(";", SMALL, "({})"), BAD_SET)
+FINITE_SET = (st.just("{}") | GENERATORS[0].map("{{{}}}".format), BAD_SET)
+LOWER_SET = (st.just("empty") | _points("u", st.sampled_from(["1", "2", "w"]), "[{}]"), BAD_SET)
+DIM = (st.sampled_from(["1", "2", "3"]), BAD_NUMBER | st.just("1000000000"))
+BOX = (_joined("x", st.sampled_from(["1", "2", "3"])),
+       _tokens("1", "2", "0", "02", "x", "X", "\u0663", "\u00b2", "-", "_", " ", "1000000",
+               most=5))
+DESCRIPTOR = (
+    st.builds("D(N^{})".format, SMALL) | st.builds("D(N^{}x{})".format, SMALL, SMALL)
+    | st.builds("I(N^{})".format, SMALL),
+    _tokens("D", "I", "N", "(", ")", "^", "x", " ", "0", "1", "02", "\u0663", "\u00b2"),
+)
+SUITE = (st.sampled_from(["monotone", "phi", "inclusion", "ideal", "spec"]),
+         st.sampled_from(["", "Monotone", "phi ", "w"]))
+
+COMMAND_LINES = {
+    "type": ["type", DESCRIPTOR],
+    "ord": ["ord", FINITE_SET],
+    "ord --dim": ["ord", FINITE_SET, "--dim", DIM],
+    "hardy": ["hardy", ORDINAL, NUMBER, "--budget", NUMBER],
+    "descend": ["descend", ORDINAL, "--base", NUMBER, "--limit", NUMBER],
+    "badseq": ["badseq", "-m", NUMBER, "-K", NUMBER, "-n", NUMBER],
+    "oracle": ["oracle", SUITE, "--box", BOX, "--m", NUMBER, "--pairs", NUMBER,
+               "--samples", NUMBER, "--seed", NUMBER, "--max-extent", NUMBER,
+               "--max-rects", NUMBER],
+    "ideal": ["ideal", LOWER_SET],
+    "ideal --dim": ["ideal", LOWER_SET, "--dim", DIM],
+    "ideal --gens": ["ideal", "--gens", GENERATORS, "--dim", DIM],
+}
+
+
+def hostile_argv(draw, parts):
+    """The command line ``parts`` with every slot well formed but at most one."""
+    slots = [i for i, p in enumerate(parts) if not isinstance(p, str)]
+    bad = draw(st.sampled_from([None] * len(slots) + slots))
+    return [p if isinstance(p, str) else draw(p[i == bad]) for i, p in enumerate(parts)]
+
+
+# a small clean record file; each verify case splices a hostile token into it
+RECORDS = "\n".join(["# descent run"] + badseq.run_lines(generate(2, 2, 6))) + "\n"
+SPLICE = st.tuples(st.integers(0, len(RECORDS)), st.integers(0, 6),
+                   _tokens("|", "#", "\n", ":", "0", "1", "02", "\u0663", "w", "^", "(", ")",
+                           "[", "]", ",", ";", "u", "-", " ", most=4))
+
+
+def run_contained(argv):
+    """main(argv) with its output captured; any escaping exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    began = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), time.perf_counter() - began
+
+
+class TestContract:
+    """The exit-status contract on hostile input: 0, 1 or 2, never a
+    traceback, and each case done within a small time budget."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_LINES))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hostile_argv(self, command, data):
+        argv = hostile_argv(data.draw, COMMAND_LINES[command])
+        code, err, took = run_contained(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert took < 2, argv
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(splice=SPLICE)
+    def test_hostile_record_file(self, tmp_path_factory, splice):
+        at, cut, token = splice
+        path = tmp_path_factory.mktemp("contract") / "run.rec"
+        path.write_text(RECORDS[:at] + token + RECORDS[at + cut:])
+        code, err, took = run_contained(["verify", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert took < 2
 
 
 class TestParserPlumbing:

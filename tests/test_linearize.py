@@ -2,10 +2,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpo import linearize
-from wpo.linearize import check_monotone, lex_ordinal, ordinal_rank
-from wpo.lowerset import UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls
+from wpo.linearize import MonotoneReport, RankAssignment, check_monotone, lex_ordinal, ordinal_rank
+from wpo.lowerset import (UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls,
+                          inclusion_masks)
 from wpo.ordinal import ONE, ZERO, add, compare, from_int, natural_sum, parse_ordinal
 
 
@@ -96,3 +98,31 @@ class TestMonotone:
             (a1, a3, from_int(3), from_int(1)),
             (a2, a3, from_int(2), from_int(1)),
         )
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 4),
+           st.integers(0, 2**32))
+    def test_matches_pairwise_reference(self, box, pool_size, seed):
+        """Ranks drawn from a pool of a few ordinals, ties included, so
+        that violations occur, and the sets in a shuffled order: the
+        report equals a row-major loop over every ordered pair,
+        inclusion decided on ``inclusion_masks``."""
+        box = tuple(box)
+        pool = [o(t) for t in ("0", "1", "2", "w", "w+1", "w^2")[:pool_size + 2]]
+        rng = random.Random(seed)
+        sets = list(enumerate_fls(box))
+        rng.shuffle(sets)
+        drawn = {f: rng.choice(pool) for f in sets}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linearize, "enumerate_fls", lambda b: iter(sets))
+            mp.setattr(linearize, "ordinal_rank", lambda f: RankAssignment(f, drawn[f], ()))
+            rep = check_monotone(box)
+        masks = inclusion_masks(sets)
+        ranks = [drawn[f] for f in sets]
+        n = len(sets)
+        violations = tuple(
+            (sets[i], sets[j], ranks[i], ranks[j])
+            for i in range(n) for j in range(n)
+            if not masks[i] & ~masks[j] and compare(ranks[i], ranks[j]) > 0
+        )
+        assert rep == MonotoneReport(box, n, n * n, violations)

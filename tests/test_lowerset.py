@@ -480,6 +480,19 @@ class TestEnumeration:
                 tried += 1
         assert tried == 254
 
+    @pytest.mark.parametrize("box,count", [
+        ((2, 3, 4), 490), ((3, 3, 3), 980), ((2, 2, 2, 2), 168), ((1, 1500), 1501),
+    ])
+    def test_yielded_sets_are_canonical(self, box, count):
+        # each set is built without the constructor's check: the checked
+        # constructor takes its boxes as they are, and its generators
+        # close to the same set
+        sets = list(enumerate_fls(box))
+        assert len(sets) == count
+        for s in sets:
+            assert GeneralLowerSet(len(box), s.rects) == s
+            assert closure(generators(s), len(box)) == s
+
     def test_set_cap(self):
         # 3x3x4 holds 4116 lower sets, 8x8 holds 12,870
         assert lowerset.MAX_LOWER_SETS == 5000
