@@ -15,8 +15,8 @@ closure of its generators, the points e-1 of its boxes e (``closure``,
 
 Unbounded extents are float("inf"), exported as UNBOUNDED, written "w".
 The complement of a lower set, given by the minimal points outside it,
-is computed here too (complement_points, from_complement); monomial.py
-wraps those points in ideals.
+is computed here too, one routine for both directions: from_complement
+is complement_points negated.  monomial.py wraps those points in ideals.
 """
 
 import math
@@ -211,7 +211,8 @@ def preimage(s: GeneralLowerSet, coords, dim: int) -> GeneralLowerSet:
 # complement without any search.
 
 def complement_points(rects, dim: int, outside=None) -> list:
-    """Minimal points outside the union of ``rects``, sorted.
+    """Minimal points outside the union of ``rects``, sorted.  It serves
+    both directions of the complement: see ``from_complement``.
 
     ``outside`` holds the minimal points outside some earlier boxes
     (default: the origin, outside no box) and the result continues from
@@ -222,15 +223,16 @@ def complement_points(rects, dim: int, outside=None) -> list:
     other coordinate, so q is checked only against those.  A box
     unbounded everywhere leaves nothing outside.
 
-    The result is canonical, the sorted antichain that ``MonomialIdeal``
-    accepts, when ``outside`` is and ``_check_boxes`` accepts every box:
-    every coordinate is an old point's or a finite extent; the kept
+    The result is a sorted antichain when ``outside`` is: the kept
     points stay an antichain; a raised point q lies above no kept point
     (the ``level`` check) and below none, since q lies above its p and p
     below no other old point; ``minimal_points`` drops the repeated and
-    dominated raised points, and ``sorted`` orders the rest.  The
-    staircase's extents are all such (``badseq._staircase``), so
-    ``badseq._IdealFold`` takes the result as built.
+    dominated raised points, and ``sorted`` orders the rest.  It is
+    canonical, as ``MonomialIdeal`` accepts it, when ``_check_boxes``
+    also accepts every box, for then every coordinate is an old point's
+    or a finite extent.  The staircase's extents are all such
+    (``badseq._staircase``), so ``badseq._IdealFold`` takes the result
+    as built, and ``from_complement`` takes it so too.
     """
     points = [(0,) * dim] if outside is None else list(outside)
     for r in rects:
@@ -250,16 +252,21 @@ def complement_points(rects, dim: int, outside=None) -> list:
 
 
 def from_complement(points, dim: int) -> GeneralLowerSet:
-    """The lower set of points that dominate none of ``points``."""
-    out = full_space(dim)
-    for g in points:
-        slabs = [
-            tuple(g[t] if i == t else UNBOUNDED for i in range(dim))
-            for t in range(dim)
-            if g[t] > 0
-        ]
-        out = out.intersect(GeneralLowerSet.make(dim, slabs))
-    return out
+    """The lower set of points that dominate none of ``points``.
+
+    Box r holds point g when g < r in every coordinate, that is when
+    -r < -g: the point -r lies in the box -g.  So the negated minimal
+    points outside the boxes -g, from the one point far below
+    everything, are the maximal boxes that hold no point.  They come
+    back a sorted antichain, which negation reverses; a box raised to 0
+    somewhere is empty.  The boxes are checked as ``make`` checks them,
+    but not canonicalized again, which at dim 1000 would cost as much.
+    """
+    outside = complement_points([tuple(-c for c in g) for g in points], dim,
+                                [(-UNBOUNDED,) * dim])
+    boxes = [tuple(-c for c in q) for q in reversed(outside) if 0 not in q]
+    _check_boxes(boxes, dim)
+    return _trusted(GeneralLowerSet, dim=dim, rects=tuple(boxes))
 
 
 def intersection_image(s: GeneralLowerSet, coords) -> GeneralLowerSet:
@@ -470,6 +477,21 @@ def enumerate_fls(box):
             stack.append(("visit", (k // row + 1) * row, None))
 
 
+def box_combinations(dim: int, menu_size: int, max_rects: int) -> int:
+    """How many unions of at most ``max_rects`` of the ``menu_size**dim``
+    boxes ``enumerate_gls`` tries, refused past MAX_BOX_COMBINATIONS."""
+    size = menu_size ** dim
+    combos = 0
+    for count in range(min(max_rects, size) + 1):
+        combos += math.comb(size, count)
+        if combos > MAX_BOX_COMBINATIONS:
+            raise ValueError(
+                f"more than {MAX_BOX_COMBINATIONS} combinations of at most "
+                f"{max_rects} of {size} boxes"
+            )
+    return combos
+
+
 def enumerate_gls(dim: int, extents, max_rects: int):
     """Yield every distinct union of at most ``max_rects`` boxes whose
     extents come from ``extents``, canonicalized, each set once.
@@ -479,19 +501,10 @@ def enumerate_gls(dim: int, extents, max_rects: int):
     menu = sorted(set(extents), key=lambda e: (e == UNBOUNDED, e))
     if not all((isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in menu):
         raise ValueError("extents must be positive integers or UNBOUNDED")
-    size = len(menu) ** dim
-    most = min(max_rects, size)
-    combos = 0
-    for count in range(most + 1):
-        combos += math.comb(size, count)
-        if combos > MAX_BOX_COMBINATIONS:
-            raise ValueError(
-                f"more than {MAX_BOX_COMBINATIONS} combinations of at most "
-                f"{max_rects} of {size} boxes"
-            )
+    box_combinations(dim, len(menu), max_rects)
     boxes = sorted(product(menu, repeat=dim))
     seen = set()
-    for count in range(most + 1):
+    for count in range(min(max_rects, len(boxes)) + 1):
         for combo in combinations(boxes, count):
             s = GeneralLowerSet.make(dim, combo)
             if s.rects not in seen:

@@ -16,6 +16,7 @@ from itertools import product
 from .lowerset import (
     GeneralLowerSet,
     UNBOUNDED,
+    box_combinations,
     compose_parts,
     decompose_parts,
     enumerate_gls,
@@ -50,11 +51,19 @@ class OracleReport:
 # extents at or below 6, so every grid axis runs 0..7: 8**dim points a case.
 MAX_GRID_POINTS = 1_000_000
 
+# Most grid points run_phi and run_spec may walk; brute_equal does less a
+# point.  `wpo oracle phi --m 3` walks about 5.7M, `spec --m 5` 6.6M.
+MAX_EQUALITY_GRID_POINTS = 10_000_000
 
-def _check_grid(cases: int, dim: int) -> None:
-    # past the cap's bit length 8**dim already exceeds it: no 8**(10**9)
-    if cases * 8 ** min(dim, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
-        raise ValueError(f"more than {MAX_GRID_POINTS} grid points: {cases} cases of 8^{dim}")
+
+def _grid_points(side: int, dim: int) -> int:
+    # side**dim, or past both caps once it is (side >= 2): no 8**(10**9)
+    return side ** min(dim, MAX_EQUALITY_GRID_POINTS.bit_length())
+
+
+def _check_grid(points: int, cap: int, what: str) -> None:
+    if points > cap:
+        raise ValueError(f"more than {cap} grid points: {what}")
 
 
 def grid(bound: int, dim: int):
@@ -112,7 +121,7 @@ def naive_hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
 def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleReport:
     """Inclusion (``lowerset.inclusion_masks``, by box dominance), union
     and intersection against the grid."""
-    _check_grid(pairs, dim)
+    _check_grid(pairs * _grid_points(8, dim), MAX_GRID_POINTS, f"{pairs} cases of 8^{dim}")
     rng = random.Random(seed)
     failures = []
     for k in range(pairs):
@@ -137,7 +146,7 @@ def run_inclusion(dim: int = 2, pairs: int = 1000, seed: int = 0) -> OracleRepor
 
 def run_ideal(dim: int = 2, samples: int = 500, seed: int = 0) -> OracleReport:
     """Membership law, round trip, antitonicity and the degree envelope."""
-    _check_grid(samples, dim)
+    _check_grid(samples * _grid_points(8, dim), MAX_GRID_POINTS, f"{samples} cases of 8^{dim}")
     rng = random.Random(seed)
     failures = []
     prev = None
@@ -164,6 +173,12 @@ def run_ideal(dim: int = 2, samples: int = 500, seed: int = 0) -> OracleReport:
 def run_phi(dim: int = 2, max_extent: int = 3, max_rects: int = 3,
             seed: int = 0, samples: int = 200) -> OracleReport:
     """Decompose/compose round trips, enumerated and randomized."""
+    # a union walks a grid of side at most max_extent+2, a sample two of 8
+    side = max(max_extent, 0) + 2
+    unions = box_combinations(dim, side - 1, max_rects)
+    _check_grid(unions * _grid_points(side, dim) + samples * 2 * _grid_points(8, dim),
+                MAX_EQUALITY_GRID_POINTS,
+                f"{unions} unions of {side}^{dim} and {samples} samples of 2*8^{dim}")
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -192,6 +207,8 @@ def run_phi(dim: int = 2, max_extent: int = 3, max_rects: int = 3,
 def run_spec(dim: int = 2, samples: int = 200, seed: int = 0) -> OracleReport:
     """Induced specifications validate, pin down their source, and the
     trivial specification accepts everything proper."""
+    _check_grid(samples * _grid_points(8, dim), MAX_EQUALITY_GRID_POINTS,
+                f"{samples} samples of 8^{dim}")
     rng = random.Random(seed)
     failures = []
     triv = trivial_specification(dim)

@@ -85,44 +85,11 @@ def dominance_masks(points: list, dim: int) -> list:
 def maximal_points(points, dim: int) -> list:
     """Componentwise-maximal elements of ``points``, sorted.
 
-    dim 1 to 3 run the sweeps of ``minimal_points`` backwards: in
-    reverse lexicographic order a dominating (larger) vector sorts
-    before the vectors it dominates.  Other dims negate every point
-    around ``minimal_points``.
+    Negating every coordinate reverses the order, so the maximal points
+    are the negated ``minimal_points`` of the negated points.
     """
-    if not 1 <= dim <= 3:
-        neg = [tuple(-c for c in p) for p in points]
-        return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
-    pts = sorted(set(points), reverse=True)
-    if not pts:
-        return []
-    if dim == 1:
-        return [pts[0]]
-    kept = []
-    if dim == 2:
-        best = None
-        for p in pts:
-            if best is None or p[1] > best:
-                kept.append(p)
-                best = p[1]
-    else:
-        ys: list = []  # pareto front over (y, z) of kept points: y asc, z desc
-        zs: list = []
-        for p in pts:
-            _, y, z = p
-            k = bisect_left(ys, y)
-            if k < len(ys) and zs[k] >= z:
-                continue  # some kept point has x>=, y>=, z>=
-            kept.append(p)
-            # fold p into the (y, z) front; evict entries it dominates
-            j = bisect_right(ys, y)
-            i = j
-            while i and zs[i - 1] <= z:
-                i -= 1
-            ys[i:j] = [y]
-            zs[i:j] = [z]
-    kept.reverse()
-    return kept
+    neg = [tuple(-c for c in p) for p in points]
+    return sorted(tuple(-c for c in p) for p in minimal_points(neg, dim))
 
 
 NATURAL = "(?:0|[1-9][0-9]*)"  # a coordinate of a box or point: ASCII, no leading 0

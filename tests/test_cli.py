@@ -187,6 +187,16 @@ def test_negative_integers_still_read(capsys):
 def test_dim_at_the_bounds(capsys):
     code, out, _ = run_cli(capsys, "ideal", "--gens", "0", "--dim", str(MAX_GENERAL_DIM))
     assert code == 0 and out.strip() == "[" + ",".join(["w"] * MAX_GENERAL_DIM) + "]"
+    # the unit ideal leaves nothing; all ones leave one slab per axis
+    m = MAX_GENERAL_DIM
+    slabs = "u".join("[" + ",".join("1" if i == t else "w" for i in range(m)) + "]"
+                     for t in range(m))
+    for c, want in (("0", "empty"), ("1", slabs)):
+        began = time.perf_counter()
+        code, out, _ = run_cli(capsys, "ideal", "--gens", "(" + ",".join([c] * m) + ")",
+                               "--dim", str(m))
+        assert time.perf_counter() - began < 2
+        assert code == 0 and out == want + "\n"
     code, out, _ = run_cli(capsys, "ideal", "empty", "--dim", "0")
     assert code == 0 and out.splitlines()[0] == "gens: ()"
 
@@ -594,15 +604,34 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert err == "error: more than 100000 combinations of at most 3 of 256 boxes\n"
 
-    @pytest.mark.parametrize("suite", ["inclusion", "ideal"])
-    def test_grid_too_large(self, capsys, suite):
-        # 1000 cases of 8^4 grid points each: refused before the first
+    @pytest.mark.parametrize("argv,err", [
+        # 1000 cases of 8^4 grid points each
+        pytest.param(["inclusion", "--m", "4"], "1000000 grid points: 1000 cases of 8^4",
+                     id="inclusion"),
+        pytest.param(["ideal", "--m", "4"], "1000000 grid points: 1000 cases of 8^4", id="ideal"),
+        # each union walks up to (max_extent+2)^m points, each sample 8^m twice
+        pytest.param(["phi", "--m", "5", "--max-rects", "1"],
+                     "10000000 grid points: 1025 unions of 5^5 and 200 samples of 2*8^5",
+                     id="phi-m5"),
+        pytest.param(["phi", "--m", "8", "--max-rects", "0", "--samples", "1"],
+                     "10000000 grid points: 1 unions of 5^8 and 1 samples of 2*8^8",
+                     id="phi-m8"),
+        pytest.param(["phi", "--m", "1", "--max-extent", "99998", "--max-rects", "1",
+                      "--samples", "0"],
+                     "10000000 grid points: 100000 unions of 100000^1 and 0 samples of 2*8^1",
+                     id="phi-wide"),
+        pytest.param(["spec", "--m", "13", "--samples", "1"],
+                     "10000000 grid points: 1 samples of 8^13", id="spec"),
+    ])
+    def test_grid_too_large(self, capsys, argv, err):
+        # refused before the first case
         assert oracles.MAX_GRID_POINTS == 1_000_000
+        assert oracles.MAX_EQUALITY_GRID_POINTS == 10_000_000
         began = time.perf_counter()
-        code, out, err = run_cli(capsys, "oracle", suite, "--m", "4")
+        code, out, got = run_cli(capsys, "oracle", *argv)
         assert time.perf_counter() - began < 0.5
         assert code == 2 and out == ""
-        assert err == "error: more than 1000000 grid points: 1000 cases of 8^4\n"
+        assert got == f"error: more than {err}\n"
 
     def test_bad_box(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "monotone", "--box", "0x4")

@@ -22,6 +22,7 @@ from wpo.lowerset import (
     enumerate_gls,
     format_fls,
     format_gls,
+    from_complement,
     from_finite,
     full_space,
     full_specification,
@@ -38,7 +39,7 @@ from wpo.lowerset import (
     validate_specification,
 )
 from wpo.oracles import brute_equal, brute_includes, grid, grid_bound, rand_gls, rand_proper_gls
-from wpo.vectors import maximal_points, minimal_points
+from wpo.vectors import dominates, maximal_points, minimal_points
 
 W = UNBOUNDED
 
@@ -292,6 +293,32 @@ class TestProjection:
             outside = raise_all(rects[:k], dim, origin)
             assert complement_points(rects[:k], dim) == outside
             assert complement_points(rects[k:], dim, outside) == raise_all(rects, dim, origin)
+
+    def test_from_complement_against_grid(self):
+        # a point lies in the set iff it dominates none of the points; a
+        # grid one past the largest coordinate is conclusive
+        rng = random.Random(53)
+        for dim in range(5):
+            zero, unit = [], [(0,) * dim]
+            assert from_complement(zero, dim) == full_space(dim)
+            assert from_complement(unit, dim).rects == ()
+            for k in range(100):
+                points = list([zero, unit, unit * 2][k]) if k < 3 else [
+                    rand_point(rng, dim, 3) for _ in range(rng.randint(1, 4))]
+                if points and rng.random() < 0.5:  # a repeated and a dominated point
+                    points += [points[0], tuple(c + 1 for c in points[-1])]
+                s = from_complement(points, dim)
+                assert GeneralLowerSet(dim, s.rects) == s  # built canonical, not canonicalized
+                b = 1 + max((c for g in points for c in g), default=0)
+                for p in grid(b, dim):
+                    assert s.member(p) == (not any(dominates(p, g) for g in points)), (points, p)
+
+    def test_from_complement_inverts_complement_points(self):
+        rng = random.Random(59)
+        for _ in range(500):
+            dim = rng.randint(0, 4)
+            s = rand_gls(rng, dim)
+            assert from_complement(complement_points(s.rects, dim), dim) == s
 
     def test_intersection_image_pinned(self):
         s = GeneralLowerSet.make(2, [(1, W), (3, 2)])

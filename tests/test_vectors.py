@@ -37,9 +37,9 @@ def brute_maximal(points):
 
 
 def test_maximal_points_matches_pairwise_filter():
-    # dims 1-3 take the backward sweeps, dims 0 and >= 4 the negated
-    # minimal_points; w extents of boxes are INF, and the narrow range
-    # gives ties in every coordinate and repeated points
+    # every dim negates around minimal_points; w extents of boxes are
+    # INF, and the narrow range gives ties in every coordinate and
+    # repeated points
     rng = random.Random(2025)
     coords = [INF, 0] + list(range(1, 5))
     for dim in range(6):
