@@ -41,11 +41,10 @@ from .lowerset import (
 from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
-    OrdinalColumn,
+    OrdinalTexts,
     ZERO,
     common_prefix,
     format_ordinal,
-    format_ordinals,
     fundamental,
     general_type,
     is_limit,
@@ -389,14 +388,13 @@ def run_lines(run: DescentRun) -> list:
     ]
     # consecutive records share most terms, boxes and generators, so
     # each is formatted once a run
-    box, point = cache(format_box), cache(format_point)
-    ordinals = format_ordinals(r.alpha for r in run.records)
-    for r, ordinal in zip(run.records, ordinals):
+    box, point, ordinal = cache(format_box), cache(format_point), OrdinalTexts().text
+    for r in run.records:
         lines.append(
             "|".join(
                 [
                     str(r.index),
-                    ordinal,
+                    ordinal(r.alpha),
                     format_gls(r.lower_set, box),
                     str(r.norm),
                     str(r.extent),
@@ -452,8 +450,9 @@ def read_run(path: str) -> DescentRun:
 
 def audit_file(path: str) -> tuple:
     """``read_run(path)`` and its ``audit_run``, from one pass that
-    derives each record once: the same run and problems, or the same
-    ValueError."""
+    steps to each record's ordinal and derives its lower set and ideal
+    once, parsing only the texts that differ from those values: the
+    same run and problems, or the same ValueError."""
     run, derived = _read(path, derive=True)
     return run, _audit(run, derived)
 
@@ -463,21 +462,23 @@ def _read(path: str, derive: bool) -> tuple:
     derivation of its ordinal or None.
 
     With ``derive`` set, records are derived while they are read once
-    the start header read before the first record is descent_start(dim),
-    so a fold is built only where the audit would build one: a start of
-    another form builds nothing, and a dim above MAX_GENERAL_DIM fails
-    in ``general_type`` before it sizes anything.  A lower-set or ideal text equal to the derived
-    value's text is that value; any other is parsed in full, so values
-    and errors are those of ``parse_gls``/``parse_ideal``.  A derivation
-    that raises gives None, and the audit raises it again only if it
-    gets to that record.
+    the ``dim``, ``start`` and ``base`` headers read before the first
+    record are a run's: a start other than descent_start(dim) or a
+    malformed base builds nothing, and a dim above MAX_GENERAL_DIM
+    fails in ``general_type`` before it sizes anything.  Each record's
+    ordinal is stepped from the record before (from the start for the
+    first), as the audit steps the stored trajectory, and its lower set
+    and ideal are derived from it.  A stored text equal to the text of
+    the stepped or derived value is that value; any other is parsed in
+    full, so values and errors are those of ``parse_ordinal``,
+    ``parse_gls`` and ``parse_ideal``.  A step that raises, as from a
+    stored 0 or an index too long for its text, leaves the ordinal text
+    to the parser; a derivation that raises gives None, and the audit
+    raises it again only if it gets to that record.
     """
     headers = {}
     records, derived = [], []
     dim = None  # read from its header before the first record
-    # consecutive records of a descent share all but a short tail of
-    # their ordinal's text, so each parse resumes where the texts differ
-    ordinals = OrdinalColumn()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -496,16 +497,23 @@ def _read(path: str, derive: bool) -> tuple:
                 dim = _header_int(headers, "dim", 1)
                 fold = None
                 with suppress(ValueError):
-                    start = parse_ordinal(headers.get("start", ""))
-                    if derive and _starts_a_run(start, dim) and start == descent_start(dim):
+                    alpha = parse_ordinal(headers.get("start", ""))
+                    if derive and _starts_a_run(alpha, dim) and alpha == descent_start(dim):
+                        base = _integer(headers.get("base", ""), 1, "base")
                         fold = _IdealFold(dim)
-                # as in run_lines, each distinct box and generator of a
-                # file is formatted once
+                # as in run_lines, only the terms a stepped ordinal does
+                # not share with the one before are formatted, and each
+                # distinct box and generator of a file once
                 box, point = cache(format_box), cache(format_point)
+                ordinal = OrdinalTexts().text
             try:
                 index = _column_int(cols, 0)
-                alpha = ordinals.parse(cols[1])
-                want = None
+                step = text = want = None
+                if fold:
+                    with suppress(ValueError):
+                        step = _step(alpha, base + index - 1)
+                        text = ordinal(step)
+                alpha = step if cols[1] == text else parse_ordinal(cols[1])
                 if fold:
                     with suppress(ValueError):
                         want = fold.derive(alpha)

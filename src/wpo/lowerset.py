@@ -479,15 +479,21 @@ def enumerate_fls(box):
 
 def box_combinations(dim: int, menu_size: int, max_rects: int) -> int:
     """How many unions of at most ``max_rects`` of the ``menu_size**dim``
-    boxes ``enumerate_gls`` tries, refused past MAX_BOX_COMBINATIONS."""
-    size = menu_size ** dim
+    boxes ``enumerate_gls`` tries, refused past MAX_BOX_COMBINATIONS.
+
+    A box count that the bit length of ``menu_size`` puts at 2**3322
+    (over 10**1000) or more is not built, since one box is past the cap
+    already, and a refusal names it as ``menu_size^dim``."""
+    huge = dim * (menu_size.bit_length() - 1) >= 3322
+    size = MAX_BOX_COMBINATIONS + 1 if huge else menu_size ** dim
     combos = 0
     for count in range(min(max_rects, size) + 1):
         combos += math.comb(size, count)
         if combos > MAX_BOX_COMBINATIONS:
+            boxes = f"{menu_size}^{dim}" if huge else size
             raise ValueError(
                 f"more than {MAX_BOX_COMBINATIONS} combinations of at most "
-                f"{max_rects} of {size} boxes"
+                f"{max_rects} of {boxes} boxes"
             )
     return combos
 

@@ -382,17 +382,23 @@ def common_prefix(xs, ys) -> int:
     return k
 
 
-def format_ordinals(alphas):
-    """Yield ``format_ordinal`` of each of ``alphas``, formatting only
+class OrdinalTexts:
+    """``format_ordinal`` of one ordinal after another, formatting only
     the terms after those an ordinal shares with the one before it, as
     consecutive records of a descent do."""
-    terms, texts = (), []
-    for a in alphas:
-        k = common_prefix(terms, a.terms)
-        del texts[k:]
-        texts += [format_term(exp, coeff) for exp, coeff in a.terms[k:]]
-        terms = a.terms
-        yield "+".join(texts) if texts else "0"
+
+    def __init__(self):
+        self._terms, self._texts = (), []
+
+    def text(self, a: Ordinal) -> str:
+        k = common_prefix(self._terms, a.terms)
+        # formatted before either field changes, so a term whose text
+        # raises leaves the formatter as it was
+        tail = [format_term(exp, coeff) for exp, coeff in a.terms[k:]]
+        del self._texts[k:]
+        self._texts += tail
+        self._terms = a.terms
+        return "+".join(self._texts) if self._texts else "0"
 
 
 # Deepest exponent nesting parse_ordinal accepts.  The parser and the
@@ -407,12 +413,10 @@ def _digit(ch: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str, pos: int = 0, starts=()):
+    def __init__(self, text: str):
         self.text = text
-        self.pos = pos
+        self.pos = 0
         self.depth = 0
-        # where each top-level term begins
-        self.starts = list(starts)
 
     def error(self, message: str):
         raise OrdinalParseError(message, self.pos)
@@ -437,8 +441,6 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def term(self) -> tuple:
-        if not self.depth:
-            self.starts.append(self.pos)
         if self.peek() == "w":
             self.pos += 1
             exp = ONE
@@ -471,61 +473,26 @@ class _Parser:
             return ZERO, n
         self.error("expected 'w' or a number")
 
-    def ordinal(self, kept: tuple = ()) -> Ordinal:
-        """A sum of terms.  ``kept`` are top-level terms already parsed
-        and checked, each followed by a '+'; the sum resumes after them
-        at ``self.pos``."""
-        if not kept and self.peek() == "0":
+    def ordinal(self) -> Ordinal:
+        if self.peek() == "0":
             self.natural()  # 0, or a leading zero error
             return ZERO
-        terms = [*kept, self.term()]
+        terms = [self.term()]
         while self.peek() == "+":
             self.pos += 1
             terms.append(self.term())
-        new = terms[max(len(kept) - 1, 0):]
-        for (ea, _), (eb, _) in zip(new, new[1:]):
+        for (ea, _), (eb, _) in zip(terms, terms[1:]):
             if compare(ea, eb) <= 0:
                 self.error("exponents must strictly decrease")
         return _trusted(tuple(terms))
 
 
-class OrdinalColumn:
-    """Parses a column of ordinal texts, each of which may repeat a
-    prefix of the one before, as consecutive records of a descent do.
-
-    ``parse(text)`` returns what ``parse_ordinal(text)`` returns and
-    raises the same error at the same position, but keeps the terms of
-    the previous text up to the last top-level '+' the two texts share
-    and parses only the rest.  The parser looks one character ahead and
-    each top-level term starts at depth 0, so a term whose text and
-    following '+' are unchanged parses to the same term.
-    """
-
-    def __init__(self):
-        self._text = ""
-        self._terms = ()
-        self._starts = ()
-
-    def parse(self, text: str) -> Ordinal:
-        text = text.replace(" ", "")
-        prev, starts = self._text, self._starts
-        # keep the most terms whose text and following '+' are unchanged:
-        # starts[k] - 1 is the '+' after the first k terms
-        keep, hi = 0, len(starts)
-        while hi - keep > 1:
-            mid = (keep + hi) // 2
-            if text.startswith(prev[:starts[mid]]):
-                keep = mid
-            else:
-                hi = mid
-        p = _Parser(text, starts[keep] if keep else 0, starts[:keep])
-        result = p.ordinal(self._terms[:keep])
-        if p.pos != len(text):
-            p.error("trailing input")
-        self._text, self._terms, self._starts = text, result.terms, p.starts
-        return result
-
-
 def parse_ordinal(text: str) -> Ordinal:
-    """Parse the canonical text form; rejects non-decreasing exponents."""
-    return OrdinalColumn().parse(text)
+    """Parse the canonical text form; rejects non-decreasing exponents.
+    Spaces are dropped first, and an error's position counts in the text
+    without them."""
+    p = _Parser(text.replace(" ", ""))
+    result = p.ordinal()
+    if p.pos != len(p.text):
+        p.error("trailing input")
+    return result

@@ -690,8 +690,9 @@ COLUMN_TAMPERING = {
 def tampered_files(rng, dim, lines):
     """(what, lines) of copies of the record file ``lines``: clean, one
     lower-set or ideal column tampered, an ordinal, index or norm
-    changed, a record dropped, a wrong ``records`` header, and the
-    headers after the records."""
+    changed, an ordinal written with spaces, a 4300-digit index, a
+    record dropped, a wrong ``records`` header, and headers after the
+    records."""
     head, body = lines[:7], lines[7:]
     rows = [line.split("|") for line in body]
 
@@ -727,6 +728,21 @@ def tampered_files(rng, dim, lines):
     start = head.index(f"# start: {format_ordinal(descent_start(dim))}")
     for text in ("w", format_ordinal(omega_pow(omega_pow(dim))), "w^w+"):
         yield f"start {text}", head[:start] + [f"# start: {text}"] + head[start + 1:] + body
+    # the same ordinal with spaces around each '+': parsed, not stepped
+    k = rng.randrange(len(rows))
+    text = " " + rows[k][1].replace("+", " + ")
+    yield f"record {k + 1} column 1 {text}", with_cell(k, 1, text)
+    # an index whose step argument has too many digits for str()
+    yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
+    # the base header alone after the records, or another base before
+    # them that the one after overrides: no fold, or one stepping with
+    # the wrong argument
+    at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
+    base = int(head[at].partition(":")[2])
+    yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
+    for text in (str(base + 1), "0"):
+        yield (f"base {text} before the records",
+               head[:at] + [f"# base: {text}"] + head[at + 1:] + body + head[at:at + 1])
 
 
 def reference_audit(path):
@@ -760,12 +776,38 @@ class TestAuditFile:
         assert kinds == {"error", True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_clean_records_are_taken_as_derived(self, dim, tmp_path):
+    def test_clean_records_are_taken_as_derived(self, dim, tmp_path, monkeypatch):
         path = tmp_path / "run.rec"
         write_run(generate(dim, 2, 40), str(path))
-        run, derived = badseq._read(str(path), derive=True)
+        parsed = []
+
+        def parse(text):
+            parsed.append(text)
+            return parse_ordinal(text)
+
+        monkeypatch.setattr(badseq, "parse_ordinal", parse)
+        start = format_ordinal(descent_start(dim))
+        lines = path.read_text().splitlines()
+        # read_run, the reference, parses every ordinal
+        run = read_run(str(path))
+        assert parsed == [start] + [line.split("|")[1] for line in lines[7:]] + [start]
+        parsed.clear()
+        # every ordinal is the step from the record before: only the
+        # start header is parsed
+        got, derived = badseq._read(str(path), derive=True)
+        assert got == run and set(parsed) == {start}
         assert all(r.lower_set is d[0] and r.ideal is d[3]
-                   for r, d in zip(run.records, derived))
+                   for r, d in zip(got.records, derived))
+        # an ordinal written with spaces is parsed, to the same value
+        k = 7 + len(run.records) // 2
+        cols = lines[k].split("|")
+        cols[1] = " " + cols[1].replace("+", " + ")
+        lines[k] = "|".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        parsed.clear()
+        run2, derived2 = badseq._read(str(path), derive=True)
+        assert run2 == run and derived2 == derived
+        assert set(parsed) == {start, cols[1]}
         # a list with a repeated box is parsed, to the same value
         lines = path.read_text().splitlines()
         cols = lines[7].split("|")

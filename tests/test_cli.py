@@ -603,6 +603,14 @@ class TestOracleCommand:
         assert time.perf_counter() - began < 1
         assert code == 2 and out == ""
         assert err == "error: more than 100000 combinations of at most 3 of 256 boxes\n"
+        # 4^2000 and 4^10000 boxes: the count is not built, and its text
+        # would run past 1000 digits, or past what str() converts
+        for m in ("2000", "10000"):
+            began = time.perf_counter()
+            code, out, err = run_cli(capsys, "oracle", "phi", "--m", m)
+            assert time.perf_counter() - began < 0.5
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert err.startswith("error: more than 100000 combinations") and len(err) < 200
 
     @pytest.mark.parametrize("argv,err", [
         # 1000 cases of 8^4 grid points each

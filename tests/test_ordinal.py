@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal
+from wpo import ordinal
 from wpo.badseq import descent_start, generate
 from wpo.oracles import naive_hardy
 from wpo.ordinal import (
@@ -14,8 +15,8 @@ from wpo.ordinal import (
     OMEGA,
     ONE,
     Ordinal,
-    OrdinalColumn,
     OrdinalParseError,
+    OrdinalTexts,
     ZERO,
     add,
     bounded_type,
@@ -192,10 +193,13 @@ def parse_outcome(parse, text):
 
 
 def column_outcomes(texts):
-    """Each text through one OrdinalColumn, checked against parse_ordinal."""
-    column = OrdinalColumn()
-    got = [parse_outcome(column.parse, t) for t in texts]
-    assert got == [parse_outcome(parse_ordinal, t) for t in texts]
+    """parse_ordinal of each text; each ordinal that parses is fed in
+    turn to one OrdinalTexts, checked against format_ordinal."""
+    got = [parse_outcome(parse_ordinal, t) for t in texts]
+    column = OrdinalTexts()
+    for a in got:
+        if isinstance(a, Ordinal):
+            assert column.text(a) == format_ordinal(a)
     return got
 
 
@@ -210,6 +214,9 @@ TAILS = st.one_of(
 
 
 class TestOrdinalColumn:
+    """A column of ordinal texts, as a record file holds one: read by
+    parse_ordinal, written by OrdinalTexts from the ordinal before."""
+
     @pytest.mark.parametrize("m,base,n", [
         (1, 2, 10), (1, 5, 10), (2, 2, 200), (2, 3, 200), (2, 5, 200),
         (3, 2, 100), (3, 3, 100), (3, 5, 100),
@@ -260,9 +267,17 @@ class TestOrdinalColumn:
             (f"exponent nesting deeper than {MAX_NESTING} (at position 306)", 306),
         ]
         assert got[0] == o("w^(w^2+w*3)*2+w^(w+1)+w^3*4+w*2+7") and got[5] == ZERO
-        # the terms of the prefix shared with the last text that parsed
-        # are kept, not parsed again
-        assert all(a is b for a, b in zip(got[3].terms[:3], got[0].terms))
+
+    def test_a_term_that_fails_to_format_changes_nothing(self, monkeypatch):
+        column = OrdinalTexts()
+        column.text(o("w^3+w^2*4+w"))
+        real = ordinal.format_term
+        monkeypatch.setattr(ordinal, "format_term",
+                            lambda e, c: real(e, c) if c != 7 else 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            column.text(o("w^3+7"))
+        # the texts of the first ordinal's terms are all still there
+        assert column.text(o("w^3+w^2*4+5")) == "w^3+w^2*4+5"
 
 
 class TestArithmetic:
