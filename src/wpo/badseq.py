@@ -26,6 +26,7 @@ from bisect import bisect_left, insort
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import count, islice
 from math import comb
 
 from .lowerset import (
@@ -181,8 +182,8 @@ class _IdealFold:
     Both values are taken as built (``_staircase``, ``complement_points``):
     the tests hold the checks.  ``check_derivations`` passes every value
     through the checked constructors, and the reading tests compare
-    ``audit_file``, which takes a stored text equal to a value's text as
-    that value, with ``read_run``'s full parse.
+    ``audit_file``, which takes a record line equal to the regenerated
+    record's line as that record, with ``read_run``'s full parse.
     """
 
     def __init__(self, dim: int):
@@ -253,21 +254,26 @@ def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenc
     )
 
 
+def _descent(dim: int, base: int):
+    """The records of the dimension-``dim`` run with ``base``, lazily,
+    up to and including the record of 0.  Step i uses argument
+    base+i-1."""
+    alpha = descent_start(dim)
+    fold = _IdealFold(dim)
+    for i in count(1):
+        alpha = _step(alpha, base + i - 1)
+        yield _derive(base, i, alpha, fold.derive(alpha))
+        if alpha == ZERO:
+            return
+
+
 def generate(dim: int, base: int, limit: int) -> DescentRun:
     """Descend ``limit`` steps from descent_start(dim), recording the
     staircase lower set, both size gauges, and the complement ideal of
-    every ordinal reached.  Step i uses argument base+i-1."""
+    every ordinal reached."""
     if base < 1 or limit < 0:
         raise ValueError("base must be >= 1 and limit >= 0")
-    start = alpha = descent_start(dim)
-    fold = _IdealFold(dim)
-    records = []
-    for i in range(1, limit + 1):
-        alpha = _step(alpha, base + i - 1)
-        records.append(_derive(base, i, alpha, fold.derive(alpha)))
-        if alpha == ZERO:
-            break
-    return DescentRun(dim, base, start, tuple(records))
+    return DescentRun(dim, base, descent_start(dim), tuple(islice(_descent(dim, base), limit)))
 
 
 def symbolic_length_bound(dim: int, base: int) -> str:
@@ -377,7 +383,7 @@ _COLUMNS = "index|ordinal|lowerset|norm|extent|ideal|degree|bound"
 
 
 def run_lines(run: DescentRun) -> list:
-    lines = [
+    return [
         "# descent run",
         f"# dim: {run.dim}",
         f"# base: {run.base}",
@@ -385,26 +391,27 @@ def run_lines(run: DescentRun) -> list:
         f"# records: {len(run.records)}",
         f"# length-bound: {symbolic_length_bound(run.dim, run.base)}",
         f"# columns: {_COLUMNS}",
-    ]
+    ] + [line for _, line in _record_lines(run.records)]
+
+
+def _record_lines(records):
+    """Each of ``records`` with its line in a record file."""
     # consecutive records share most terms, boxes and generators, so
     # each is formatted once a run
     box, point, ordinal = cache(format_box), cache(format_point), OrdinalTexts().text
-    for r in run.records:
-        lines.append(
-            "|".join(
-                [
-                    str(r.index),
-                    ordinal(r.alpha),
-                    format_gls(r.lower_set, box),
-                    str(r.norm),
-                    str(r.extent),
-                    format_ideal(r.ideal, point),
-                    str(r.degree),
-                    str(r.bound),
-                ]
-            )
+    for r in records:
+        yield r, "|".join(
+            [
+                str(r.index),
+                ordinal(r.alpha),
+                format_gls(r.lower_set, box),
+                str(r.norm),
+                str(r.extent),
+                format_ideal(r.ideal, point),
+                str(r.degree),
+                str(r.bound),
+            ]
         )
-    return lines
 
 
 def write_run(run: DescentRun, path: str) -> None:
@@ -423,24 +430,25 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
-def _integer(text: str, least: int, what: str) -> int:
+def _integer(text: str, least: int) -> int | None:
     """``text`` as an int of at least ``least`` when ``vectors.integer``
-    reads it, as it reads every integer ``run_lines`` writes; else a
-    ValueError on ``what``."""
-    try:
+    reads it, as it reads every integer ``run_lines`` writes; else None."""
+    with suppress(ValueError):
         if (n := integer(text)) >= least:
             return n
-    except ValueError:
-        pass
-    raise ValueError(f"{what}, which is not an integer >= {least}")
+    return None
 
 
 def _header_int(headers: dict, key: str, least: int) -> int:
-    return _integer(headers[key], least, f"header says {key} {headers[key]}")
+    if (n := _integer(headers[key], least)) is None:
+        raise ValueError(f"header says {key} {headers[key]}, which is not an integer >= {least}")
+    return n
 
 
 def _column_int(cols: list, k: int) -> int:
-    return _integer(cols[k], 0, f"{_COLUMNS.split('|')[k]} says {cols[k]!r}")
+    if (n := _integer(cols[k], 0)) is None:
+        raise ValueError(f"{_COLUMNS.split('|')[k]} says {cols[k]!r}, which is not an integer >= 0")
+    return n
 
 
 def read_run(path: str) -> DescentRun:
@@ -450,9 +458,9 @@ def read_run(path: str) -> DescentRun:
 
 def audit_file(path: str) -> tuple:
     """``read_run(path)`` and its ``audit_run``, from one pass that
-    steps to each record's ordinal and derives its lower set and ideal
-    once, parsing only the texts that differ from those values: the
-    same run and problems, or the same ValueError."""
+    regenerates the run as ``badseq`` writes it and parses only the
+    record lines that differ from the regenerated ones: the same run
+    and problems, or the same ValueError."""
     run, derived = _read(path, derive=True)
     return run, _audit(run, derived)
 
@@ -461,24 +469,20 @@ def _read(path: str, derive: bool) -> tuple:
     """The run a record file holds, and per record the fold's
     derivation of its ordinal or None.
 
-    With ``derive`` set, records are derived while they are read once
-    the ``dim``, ``start`` and ``base`` headers read before the first
-    record are a run's: a start other than descent_start(dim) or a
-    malformed base builds nothing, and a dim above MAX_GENERAL_DIM
-    fails in ``general_type`` before it sizes anything.  Each record's
-    ordinal is stepped from the record before (from the start for the
-    first), as the audit steps the stored trajectory, and its lower set
-    and ideal are derived from it.  A stored text equal to the text of
-    the stepped or derived value is that value; any other is parsed in
-    full, so values and errors are those of ``parse_ordinal``,
-    ``parse_gls`` and ``parse_ideal``.  A step that raises, as from a
-    stored 0 or an index too long for its text, leaves the ordinal text
-    to the parser; a derivation that raises gives None, and the audit
-    raises it again only if it gets to that record.
+    With ``derive`` set, the run is regenerated alongside once the
+    ``dim``, ``start`` and ``base`` headers read before the first record
+    are a run's: a start other than descent_start(dim) or a malformed
+    base builds nothing, and a dim above MAX_GENERAL_DIM fails in
+    ``general_type`` before it sizes anything.  The k-th record line is
+    matched with the k-th regenerated record, one record pulled per
+    line: a line equal to that record's line is that record, and any
+    other is parsed in full, as by ``read_run``, keeping the record's
+    derivation when the parsed ordinal is the record's.  A regeneration
+    that raises ends the matching, and the lines after it are parsed.
     """
     headers = {}
     records, derived = [], []
-    dim = None  # read from its header before the first record
+    expected = None  # set at the first record line
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -493,44 +497,35 @@ def _read(path: str, derive: bool) -> tuple:
             cols = line.split("|")
             if len(cols) != 8 or "dim" not in headers:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
-            if dim is None:
+            if expected is None:
                 dim = _header_int(headers, "dim", 1)
-                fold = None
-                with suppress(ValueError):
-                    alpha = parse_ordinal(headers.get("start", ""))
-                    if derive and _starts_a_run(alpha, dim) and alpha == descent_start(dim):
-                        base = _integer(headers.get("base", ""), 1, "base")
-                        fold = _IdealFold(dim)
-                # as in run_lines, only the terms a stepped ordinal does
-                # not share with the one before are formatted, and each
-                # distinct box and generator of a file once
-                box, point = cache(format_box), cache(format_point)
-                ordinal = OrdinalTexts().text
-            try:
-                index = _column_int(cols, 0)
-                step = text = want = None
-                if fold:
+                expected = iter(())
+                if derive:
                     with suppress(ValueError):
-                        step = _step(alpha, base + index - 1)
-                        text = ordinal(step)
-                alpha = step if cols[1] == text else parse_ordinal(cols[1])
-                if fold:
-                    with suppress(ValueError):
-                        want = fold.derive(alpha)
-                derived.append(want)
-                lset = (want[0] if want and cols[2] == format_gls(want[0], box)
-                        else parse_gls(cols[2], dim))
-                norm, extent = _column_int(cols, 3), _column_int(cols, 4)
-                ideal = (want[3] if want and cols[5] == format_ideal(want[3], point)
-                         else parse_ideal(cols[5], dim))
-                records.append(BadSequenceRecord(index, alpha, lset, norm, extent, ideal,
-                                                 _column_int(cols, 6), _column_int(cols, 7)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+                        start = parse_ordinal(headers.get("start", ""))
+                        base = _integer(headers.get("base", ""), 1)
+                        if base and _starts_a_run(start, dim) and start == descent_start(dim):
+                            expected = _record_lines(_descent(dim, base))
+            want = text = None
+            with suppress(ValueError):
+                want, text = next(expected, (None, None))
+            if line == text:
+                rec = want
+            else:
+                try:
+                    rec = BadSequenceRecord(
+                        _column_int(cols, 0), parse_ordinal(cols[1]), parse_gls(cols[2], dim),
+                        _column_int(cols, 3), _column_int(cols, 4), parse_ideal(cols[5], dim),
+                        _column_int(cols, 6), _column_int(cols, 7))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+            records.append(rec)
+            derived.append((want.lower_set, want.norm, want.extent, want.ideal)
+                           if want and rec.alpha == want.alpha else None)
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
-    if dim is None:
+    if expected is None:
         dim = _header_int(headers, "dim", 1)
     base = _header_int(headers, "base", 1)
     if _header_int(headers, "records", 0) != len(records):

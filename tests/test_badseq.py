@@ -691,8 +691,9 @@ def tampered_files(rng, dim, lines):
     """(what, lines) of copies of the record file ``lines``: clean, one
     lower-set or ideal column tampered, an ordinal, index or norm
     changed, an ordinal written with spaces, a 4300-digit index, a
-    record dropped, a wrong ``records`` header, and headers after the
-    records."""
+    record dropped, repeated, swapped with the next or copied after the
+    last, a wrong ``records`` header, CRLF line endings, and headers
+    after the records."""
     head, body = lines[:7], lines[7:]
     rows = [line.split("|") for line in body]
 
@@ -720,8 +721,22 @@ def tampered_files(rng, dim, lines):
         ]:
             yield f"record {k + 1} column {column} {text}", with_cell(k, column, text)
         yield f"record {k + 1} dropped", head + body[:k] + body[k + 1:]
-    yield "records header", [f"# records: {len(rows) + 1}" if line.startswith("# records:")
-                             else line for line in lines]
+    def one_more(head):
+        return [f"# records: {len(rows) + 1}" if line.startswith("# records:") else line
+                for line in head]
+
+    yield "records header", one_more(lines)
+    # records out of place: the lines from the shift on are parsed, and
+    # past the record of 0 no record is regenerated
+    k = rng.randrange(len(rows))
+    yield f"record {k + 1} repeated", one_more(head) + body[:k + 1] + body[k:]
+    if len(rows) > 1:
+        k = rng.randrange(len(rows) - 1)
+        yield (f"records {k + 1} and {k + 2} swapped",
+               head + body[:k] + [body[k + 1], body[k]] + body[k + 2:])
+    last = "|".join([str(len(rows) + 1)] + rows[-1][1:])
+    yield "last record copied after it", one_more(head) + body + [last]
+    yield "CRLF line endings", [line + "\r" for line in lines]
     yield "headers after the records", body + head
     # the dim header alone before the records: no start to guard a fold
     yield "start after the records", head[1:2] + body + head[:1] + head[2:]
@@ -735,12 +750,13 @@ def tampered_files(rng, dim, lines):
     # an index whose step argument has too many digits for str()
     yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
     # the base header alone after the records, or another base before
-    # them that the one after overrides: no fold, or one stepping with
-    # the wrong argument
+    # them that the one after overrides: no regenerated run, one with
+    # the wrong base, or one whose first bound has too many digits for
+    # str(), which ends the regeneration
     at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
     base = int(head[at].partition(":")[2])
     yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
-    for text in (str(base + 1), "0"):
+    for text in (str(base + 1), "0", "9" * 2200):
         yield (f"base {text} before the records",
                head[:at] + [f"# base: {text}"] + head[at + 1:] + body + head[at:at + 1])
 
@@ -779,35 +795,46 @@ class TestAuditFile:
     def test_clean_records_are_taken_as_derived(self, dim, tmp_path, monkeypatch):
         path = tmp_path / "run.rec"
         write_run(generate(dim, 2, 40), str(path))
-        parsed = []
+        parsed = {"ordinal": [], "gls": [], "ideal": []}
 
-        def parse(text):
-            parsed.append(text)
-            return parse_ordinal(text)
+        def counted(name, parse):
+            def call(text, *args):
+                parsed[name].append(text)
+                return parse(text, *args)
+            monkeypatch.setattr(badseq, f"parse_{name}", call)
 
-        monkeypatch.setattr(badseq, "parse_ordinal", parse)
+        counted("ordinal", parse_ordinal)
+        counted("gls", parse_gls)
+        counted("ideal", parse_ideal)
         start = format_ordinal(descent_start(dim))
         lines = path.read_text().splitlines()
-        # read_run, the reference, parses every ordinal
+        # read_run, the reference, parses every column
         run = read_run(str(path))
-        assert parsed == [start] + [line.split("|")[1] for line in lines[7:]] + [start]
-        parsed.clear()
-        # every ordinal is the step from the record before: only the
-        # start header is parsed
+        rows = [line.split("|") for line in lines[7:]]
+        assert parsed == {"ordinal": [r[1] for r in rows] + [start],
+                          "gls": [r[2] for r in rows], "ideal": [r[5] for r in rows]}
+        # every line is the regenerated record's: only the start header
+        # is parsed, and each record is the regenerated one
+        for texts in parsed.values():
+            texts.clear()
         got, derived = badseq._read(str(path), derive=True)
-        assert got == run and set(parsed) == {start}
+        assert got == run
+        assert set(parsed["ordinal"]) == {start} and not parsed["gls"] and not parsed["ideal"]
         assert all(r.lower_set is d[0] and r.ideal is d[3]
                    for r, d in zip(got.records, derived))
-        # an ordinal written with spaces is parsed, to the same value
+        # a record whose ordinal is written with spaces is the one line
+        # parsed, to the same run and the regenerated derivations
         k = 7 + len(run.records) // 2
         cols = lines[k].split("|")
         cols[1] = " " + cols[1].replace("+", " + ")
         lines[k] = "|".join(cols)
         path.write_text("\n".join(lines) + "\n")
-        parsed.clear()
+        for texts in parsed.values():
+            texts.clear()
         run2, derived2 = badseq._read(str(path), derive=True)
         assert run2 == run and derived2 == derived
-        assert set(parsed) == {start, cols[1]}
+        assert parsed == {"ordinal": [start, cols[1], start], "gls": [cols[2]],
+                          "ideal": [cols[5]]}
         # a list with a repeated box is parsed, to the same value
         lines = path.read_text().splitlines()
         cols = lines[7].split("|")
