@@ -93,7 +93,7 @@ def shape_from_ordinal(alpha: Ordinal, dim: int):
     digit.  Raises ValueError when alpha is not below descent_start(dim).
     """
     rects, state = [], _stair_start(dim)
-    for box, state in _staircase(alpha, dim, state, alpha.terms):
+    for box, state in _staircase(alpha, dim, state, alpha):
         rects.append(box)
     return rects, _norm(state)
 
@@ -130,12 +130,11 @@ def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
     # the same over the boxes of lower levels, set per level
     for e, c in terms:
         digits = [0] * dim
-        for f, d in e.terms:
-            k = f.terms
-            if not k:
+        for f, d in e:
+            if not f:
                 digits[0] = d
-            elif len(k) == 1 and not k[0][0].terms and k[0][1] < dim:
-                digits[k[0][1]] = d
+            elif len(f) == 1 and not f[0][0] and f[0][1] < dim:
+                digits[f[0][1]] = d
             else:
                 raise ValueError(f"{alpha} is not below {descent_start(dim)}")
         j = dim
@@ -197,11 +196,11 @@ class _IdealFold:
         """The lower set, norm, extent and complement ideal of alpha's
         staircase."""
         dim = self.dim
-        k = common_prefix(self.terms, alpha.terms)
+        k = common_prefix(self.terms, alpha)
         for r in self.rects[k:]:
             del self.boxes[bisect_left(self.boxes, r)]
         del self.terms[k:], self.rects[k:], self.after[k + 1:]
-        tail = alpha.terms[k:]
+        tail = alpha[k:]
         for term, (box, state) in zip(tail, _staircase(alpha, dim, self.after[-1][0], tail)):
             self.after.append((state, complement_points([box], dim, self.after[-1][1])))
             insort(self.boxes, box)
@@ -322,7 +321,7 @@ def _starts_a_run(start: Ordinal, dim: int) -> bool:
     """Whether ``start`` has the form of descent_start(dim): w^E with E
     of exactly dim >= 1 terms.  Checking that first keeps a huge
     declared dim from being built at all."""
-    return len(start.terms) == 1 and len(start.terms[0][0].terms) == dim >= 1
+    return len(start) == 1 and len(start[0][0]) == dim >= 1
 
 
 def audit_run(run: DescentRun) -> list:
@@ -336,15 +335,18 @@ def audit_run(run: DescentRun) -> list:
     return _audit(run, [None] * len(run.records))
 
 
-def _audit(run: DescentRun, derived: list) -> list:
-    """``audit_run``, taking ``derived[k]``, when it is not None, as the
-    fold's derivation of record k's ordinal."""
+def _audit(run: DescentRun, regenerated: list) -> list:
+    """``audit_run``, taking ``regenerated[k]``, when it is not None, as
+    record k of the run regenerated with ``run.base``: its ordinal is the
+    step from the regenerated ordinal before it, and it is the record
+    stored for its ordinal."""
     problems = []
     alpha = run.start
     if not _starts_a_run(alpha, run.dim):
         return [f"run starts at {alpha}, which no dimension-{run.dim} run does"]
-    if alpha != descent_start(run.dim):
-        problems.append(f"run starts at {alpha}, expected {descent_start(run.dim)}")
+    start = descent_start(run.dim)
+    if alpha != start:
+        problems.append(f"run starts at {alpha}, expected {start}")
     fold = _IdealFold(run.dim)
     for k, rec in enumerate(run.records):
         if rec.index != k + 1:
@@ -353,14 +355,19 @@ def _audit(run: DescentRun, derived: list) -> list:
         if alpha == ZERO:
             problems.append(f"record {rec.index}: descent already ended at 0")
             break
-        alpha = _step(alpha, run.base + rec.index - 1)
+        regen = regenerated[k]
+        if regen and alpha == (regenerated[k - 1].alpha if k else start):
+            alpha = regen.alpha
+        else:
+            alpha = _step(alpha, run.base + rec.index - 1)
         tag = f"record {rec.index}"
         if rec.alpha != alpha:
             problems.append(f"{tag}: ordinal {rec.alpha} is not the descent value {alpha}")
         # keep auditing the stored trajectory; when the two are equal,
         # the next step then shares its terms with the next record's
         alpha = rec.alpha
-        want = _derive(run.base, rec.index, rec.alpha, derived[k] or fold.derive(rec.alpha))
+        want = (regen if regen and regen.alpha == rec.alpha
+                else _derive(run.base, rec.index, rec.alpha, fold.derive(rec.alpha)))
         for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
             got, exp = getattr(rec, name), getattr(want, name)
             if got != exp:
@@ -461,13 +468,13 @@ def audit_file(path: str) -> tuple:
     regenerates the run as ``badseq`` writes it and parses only the
     record lines that differ from the regenerated ones: the same run
     and problems, or the same ValueError."""
-    run, derived = _read(path, derive=True)
-    return run, _audit(run, derived)
+    run, regenerated = _read(path, derive=True)
+    return run, _audit(run, regenerated)
 
 
 def _read(path: str, derive: bool) -> tuple:
-    """The run a record file holds, and per record the fold's
-    derivation of its ordinal or None.
+    """The run a record file holds, and per record the record of the
+    run regenerated with the file's base, or None.
 
     With ``derive`` set, the run is regenerated alongside once the
     ``dim``, ``start`` and ``base`` headers read before the first record
@@ -476,13 +483,15 @@ def _read(path: str, derive: bool) -> tuple:
     ``general_type`` before it sizes anything.  The k-th record line is
     matched with the k-th regenerated record, one record pulled per
     line: a line equal to that record's line is that record, and any
-    other is parsed in full, as by ``read_run``, keeping the record's
-    derivation when the parsed ordinal is the record's.  A regeneration
-    that raises ends the matching, and the lines after it are parsed.
+    other is parsed in full, as by ``read_run``.  A regeneration that
+    raises ends the matching, and the lines after it are parsed.  A
+    ``base`` header after the records that overrides the one the run
+    was regenerated with leaves no regenerated record.
     """
     headers = {}
-    records, derived = [], []
+    records, regenerated = [], []
     expected = None  # set at the first record line
+    made_with = None  # the base of the regenerated run
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -506,6 +515,7 @@ def _read(path: str, derive: bool) -> tuple:
                         base = _integer(headers.get("base", ""), 1)
                         if base and _starts_a_run(start, dim) and start == descent_start(dim):
                             expected = _record_lines(_descent(dim, base))
+                            made_with = base
             want = text = None
             with suppress(ValueError):
                 want, text = next(expected, (None, None))
@@ -520,8 +530,7 @@ def _read(path: str, derive: bool) -> tuple:
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from exc
             records.append(rec)
-            derived.append((want.lower_set, want.norm, want.extent, want.ideal)
-                           if want and rec.alpha == want.alpha else None)
+            regenerated.append(want)
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
@@ -532,6 +541,8 @@ def _read(path: str, derive: bool) -> tuple:
         raise ValueError(
             f"header says {headers['records']} records but the file holds {len(records)}"
         )
+    if base != made_with:
+        regenerated = [None] * len(records)
     run = DescentRun(dim=dim, base=base, start=parse_ordinal(headers["start"]),
                      records=tuple(records))
-    return run, derived
+    return run, regenerated

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .lowerset import GeneralLowerSet, enumerate_fls, generators
-from .ordinal import ONE, ZERO, Ordinal, _trusted, add, compare, from_int, natural_sum
+from .ordinal import ONE, ZERO, Ordinal, _trusted, add, from_int
 
 
 def lex_ordinal(vec) -> Ordinal:
@@ -22,7 +22,7 @@ def lex_ordinal(vec) -> Ordinal:
     exponents fall with i and the coefficients are positive, so the
     terms are in normal form as built."""
     k = len(vec)
-    return _trusted(tuple([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v]))
+    return _trusted([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v])
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,22 @@ class RankAssignment:
 
 
 def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
-    """The rank of a bounded set; UnboundedError on a w extent."""
+    """The rank of a bounded set; UnboundedError on a w extent.
+
+    The generators are an antichain, so no two share their first m-1
+    coordinates: the exponents of the contributions are distinct and,
+    as the sorted generators rise, rise.  Their natural sum is then the
+    contributions' terms from the last, as they stand.
+    """
     if f.dim == 0:
         raise ValueError("ranking needs at least one coordinate")
     gens = generators(f)
     if not gens:
         return RankAssignment(f, ZERO, ())
-    total = ZERO
-    contribs = []
-    for g in gens:
-        if g[-1] == 0:
-            continue
-        term = _trusted(((lex_ordinal(g[:-1]), g[-1]),))  # one term, coefficient >= 1
-        total = natural_sum(total, term)
-        contribs.append((g, term))
-    return RankAssignment(f, add(total, ONE), tuple(contribs))
+    # one term each, coefficient >= 1
+    contribs = tuple([(g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))) for g in gens if g[-1]])
+    total = _trusted([term[0] for _, term in reversed(contribs)])
+    return RankAssignment(f, add(total, ONE), contribs)
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def check_monotone(box) -> MonotoneReport:
     below = 0  # the sets ranked strictly below the current rank
     level = 0  # the sets of the current rank seen so far
     prev = None
-    for i in sorted(range(n), key=ranks.__getitem__):  # Ordinal.__lt__ is compare
-        if prev is not None and compare(ranks[prev], ranks[i]):
+    for i in sorted(range(n), key=ranks.__getitem__):
+        if prev is not None and ranks[prev] != ranks[i]:
             below |= level
             level = 0
         level |= 1 << i

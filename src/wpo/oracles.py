@@ -109,7 +109,7 @@ def naive_hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
     if x < 0 or budget < 1:
         raise ValueError("need x >= 0 and budget >= 1")
     steps = 0
-    while alpha.terms:
+    while alpha:
         if steps == budget:
             return HardyOutcome(steps=steps, ordinal=alpha, argument=x)
         alpha = predecessor(alpha) if is_successor(alpha) else fundamental(alpha, x)

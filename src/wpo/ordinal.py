@@ -10,7 +10,6 @@ Text form: ``w^(w+2)+w^2*3+5`` (see parse_ordinal / format_ordinal).
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import comb
 
 
@@ -26,42 +25,33 @@ class NotALimitError(ValueError):
     """Raised when a fundamental sequence is requested for 0 or a successor."""
 
 
-@dataclass(frozen=True)
-class Ordinal:
-    """An ordinal below epsilon_0, as a tuple of (exponent, coefficient) terms.
+class Ordinal(tuple):
+    """An ordinal below epsilon_0: the tuple of its (exponent, coefficient)
+    terms.
 
     Exponents are Ordinals themselves, strictly decreasing; coefficients
-    are positive ints.  Instances are immutable and structurally unique,
-    so == and hash agree with ordinal equality.
+    are positive ints.  Normal forms compare term by term from the
+    highest, exponent first and then coefficient, and a proper prefix is
+    smaller: that is tuple order, so <, <=, == and hash are tuple's.
+    Slices are plain tuples of terms, and ``+`` is ordinal addition.
     """
 
-    terms: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for exp, coeff in self.terms:
+    def __new__(cls, terms=()):
+        self = tuple.__new__(cls, terms)
+        for exp, coeff in self:
             if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
                 raise TypeError("terms must be (Ordinal, int) pairs")
             if coeff < 1:
                 raise ValueError("coefficients must be positive")
-        exps = [e for e, _ in self.terms]
-        for a, b in zip(exps, exps[1:]):
-            if compare(a, b) <= 0:
+        for (a, _), (b, _) in zip(self, self[1:]):
+            if a <= b:
                 raise ValueError("exponents must be strictly decreasing")
+        return self
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
+    # the terms as a plain tuple, which concatenates where an Ordinal adds
+    terms = property(tuple)
 
     def __add__(self, other) -> "Ordinal":
         return add(self, other)
@@ -74,28 +64,25 @@ class Ordinal:
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0][0])
+        return not self or (len(self) == 1 and not self[0][0])
 
     def as_int(self) -> int:
         """The value of a finite ordinal as an int; error if infinite."""
-        if not self.terms:
+        if not self:
             return 0
         if not self.is_finite:
             raise ValueError(f"{self} is not finite")
-        return self.terms[0][1]
+        return self[0][1]
 
 
-def _trusted(terms: tuple) -> Ordinal:
+def _trusted(terms) -> Ordinal:
     """An Ordinal over ``terms`` without the validation of ``Ordinal(...)``.
 
     Only for terms already in normal form by construction: the results
     of the arithmetic below and of the parser, which checks its own
-    input.  Skipping ``__post_init__`` saves one recursive comparison
-    per adjacent pair of exponents.
+    input.
     """
-    a = object.__new__(Ordinal)
-    object.__setattr__(a, "terms", terms)
-    return a
+    return tuple.__new__(Ordinal, terms)
 
 
 ZERO = Ordinal()
@@ -117,30 +104,19 @@ def _as_ordinal(x) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way comparison: -1, 0, or 1."""
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def add(a, b) -> Ordinal:
     """Ordinary (left-absorbing) ordinal addition."""
     a, b = _as_ordinal(a), _as_ordinal(b)
-    if not b.terms:
+    if not b:
         return a
-    lead, lead_coeff = b.terms[0]
-    kept = [t for t in a.terms if compare(t[0], lead) > 0]
-    if len(kept) < len(a.terms) and compare(a.terms[len(kept)][0], lead) == 0:
-        merged = (lead, a.terms[len(kept)][1] + lead_coeff)
-        return _trusted(tuple(kept) + (merged,) + b.terms[1:])
-    return _trusted(tuple(kept) + b.terms)
+    lead, lead_coeff = b[0]
+    kept = tuple([t for t in a if t[0] > lead])
+    if len(kept) < len(a) and a[len(kept)][0] == lead:
+        return _trusted(kept + ((lead, a[len(kept)][1] + lead_coeff),) + b[1:])
+    return _trusted(kept + b)
 
 
 def natural_sum(a, b) -> Ordinal:
@@ -148,33 +124,32 @@ def natural_sum(a, b) -> Ordinal:
     a, b = _as_ordinal(a), _as_ordinal(b)
     out = []
     i = j = 0
-    ta, tb = a.terms, b.terms
-    while i < len(ta) and j < len(tb):
-        c = compare(ta[i][0], tb[j][0])
-        if c > 0:
-            out.append(ta[i])
+    while i < len(a) and j < len(b):
+        (ea, ca), (eb, cb) = a[i], b[j]
+        if ea > eb:
+            out.append(a[i])
             i += 1
-        elif c < 0:
-            out.append(tb[j])
+        elif ea < eb:
+            out.append(b[j])
             j += 1
         else:
-            out.append((ta[i][0], ta[i][1] + tb[j][1]))
+            out.append((ea, ca + cb))
             i += 1
             j += 1
-    out.extend(ta[i:])
-    out.extend(tb[j:])
-    return _trusted(tuple(out))
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return _trusted(out)
 
 
 def natural_product(a, b) -> Ordinal:
     """Hessenberg product: distribute terms, natural-sum the exponents."""
     a, b = _as_ordinal(a), _as_ordinal(b)
     acc: dict = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    for ea, ca in a:
+        for eb, cb in b:
             e = natural_sum(ea, eb)
             acc[e] = acc.get(e, 0) + ca * cb
-    exps = sorted(acc, key=cmp_to_key(compare), reverse=True)
+    exps = sorted(acc, reverse=True)
     return Ordinal(tuple((e, acc[e]) for e in exps))
 
 
@@ -189,7 +164,7 @@ def pow2(a) -> Ordinal:
     a = _as_ordinal(a)
     n = 0
     beta_terms = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         if not exp:
             n = coeff
             continue
@@ -201,20 +176,20 @@ def pow2(a) -> Ordinal:
 
 
 def is_successor(a: Ordinal) -> bool:
-    return bool(a.terms) and not a.terms[-1][0]
+    return bool(a) and not a[-1][0]
 
 
 def is_limit(a: Ordinal) -> bool:
-    return bool(a.terms) and bool(a.terms[-1][0])
+    return bool(a) and bool(a[-1][0])
 
 
 def predecessor(a: Ordinal) -> Ordinal:
     if not is_successor(a):
         raise ValueError(f"{a} is not a successor")
-    exp, coeff = a.terms[-1]
+    exp, coeff = a[-1]
     if coeff == 1:
-        return _trusted(a.terms[:-1])
-    return _trusted(a.terms[:-1] + ((exp, coeff - 1),))
+        return _trusted(a[:-1])
+    return _trusted(a[:-1] + ((exp, coeff - 1),))
 
 
 def fundamental(lam: Ordinal, x: int) -> Ordinal:
@@ -228,8 +203,8 @@ def fundamental(lam: Ordinal, x: int) -> Ordinal:
         raise NotALimitError(f"{lam} has no fundamental sequence")
     if not isinstance(x, int) or x < 0:
         raise ValueError("index must be a natural number")
-    exp, coeff = lam.terms[-1]
-    prefix = lam.terms[:-1] if coeff == 1 else lam.terms[:-1] + ((exp, coeff - 1),)
+    exp, coeff = lam[-1]
+    prefix = lam[:-1] if coeff == 1 else lam[:-1] + ((exp, coeff - 1),)
     if is_limit(exp):
         step = ((fundamental(exp, x), 1),)
     else:
@@ -270,16 +245,16 @@ def hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
     if x < 0 or budget < 1:
         raise ValueError("need x >= 0 and budget >= 1")
     steps = 0
-    while alpha.terms:
+    while alpha:
         if steps == budget:
             return HardyOutcome(steps=steps, ordinal=alpha, argument=x)
-        exp, coeff = alpha.terms[-1]
+        exp, coeff = alpha[-1]
         if exp:
             alpha = fundamental(alpha, x)
             n = 1
         else:
             n = min(coeff, budget - steps)
-            rest = alpha.terms[:-1]
+            rest = alpha[:-1]
             alpha = _trusted(rest if n == coeff else rest + ((ZERO, coeff - n),))
         x += n
         steps += n
@@ -310,13 +285,13 @@ def descend(alpha0, base: int, limit: int) -> DescentTrace:
     alpha0 = _as_ordinal(alpha0)
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if alpha0.terms and not is_limit(alpha0):
+    if alpha0 and not is_limit(alpha0):
         raise NotALimitError(f"{alpha0} is neither 0 nor a limit")
     steps = [alpha0]
     truncated, reason = False, None
     while True:
         cur = steps[-1]
-        if not cur.terms:
+        if not cur:
             break
         if is_successor(cur):
             truncated, reason = True, "successor"
@@ -369,9 +344,9 @@ def format_term(exp: Ordinal, coeff: int) -> str:
 
 
 def format_ordinal(a: Ordinal) -> str:
-    if not a.terms:
+    if not a:
         return "0"
-    return "+".join([format_term(exp, coeff) for exp, coeff in a.terms])
+    return "+".join([format_term(exp, coeff) for exp, coeff in a])
 
 
 def common_prefix(xs, ys) -> int:
@@ -391,13 +366,13 @@ class OrdinalTexts:
         self._terms, self._texts = (), []
 
     def text(self, a: Ordinal) -> str:
-        k = common_prefix(self._terms, a.terms)
+        k = common_prefix(self._terms, a)
         # formatted before either field changes, so a term whose text
         # raises leaves the formatter as it was
-        tail = [format_term(exp, coeff) for exp, coeff in a.terms[k:]]
+        tail = [format_term(exp, coeff) for exp, coeff in a[k:]]
         del self._texts[k:]
         self._texts += tail
-        self._terms = a.terms
+        self._terms = a
         return "+".join(self._texts) if self._texts else "0"
 
 
@@ -482,9 +457,9 @@ class _Parser:
             self.pos += 1
             terms.append(self.term())
         for (ea, _), (eb, _) in zip(terms, terms[1:]):
-            if compare(ea, eb) <= 0:
+            if ea <= eb:
                 self.error("exponents must strictly decrease")
-        return _trusted(tuple(terms))
+        return _trusted(terms)
 
 
 def parse_ordinal(text: str) -> Ordinal:

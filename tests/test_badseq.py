@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -44,8 +45,10 @@ from wpo.cli import main
 from wpo.vectors import format_point
 from wpo.oracles import brute_includes, rand_gls
 from wpo.ordinal import (
+    ONE,
     Ordinal,
     ZERO,
+    add,
     compare,
     format_ordinal,
     fundamental,
@@ -629,14 +632,6 @@ class TestRecordFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["run.rec"]
 
 
-def outcome(call):
-    """call(), or the type and message of its ValueError."""
-    try:
-        return call()
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def tampered(rng, text, texts, sep, fmt, empty, malformed):
     """``text``, a lower-set or ideal column of a record, as a tampered
     file may hold it.  Its items are shuffled, one is repeated, changed,
@@ -743,6 +738,10 @@ def tampered_files(rng, dim, lines):
     start = head.index(f"# start: {format_ordinal(descent_start(dim))}")
     for text in ("w", format_ordinal(omega_pow(omega_pow(dim))), "w^w+"):
         yield f"start {text}", head[:start] + [f"# start: {text}"] + head[start + 1:] + body
+    # a run's start before the records, overridden after them by one of
+    # the same form: the regenerated run is not the one audited
+    text = format_ordinal(omega_pow(add(descent_start(dim).terms[0][0], ONE)))
+    yield f"start {text} after the records", lines + [f"# start: {text}"]
     # the same ordinal with spaces around each '+': parsed, not stepped
     k = rng.randrange(len(rows))
     text = " " + rows[k][1].replace("+", " + ")
@@ -768,6 +767,27 @@ def reference_audit(path):
     return run, audit_run(run)
 
 
+def verified(audit, path, monkeypatch, capsys):
+    """``wpo verify path`` with ``audit`` in place of ``audit_file``:
+    the outcome of the one call to ``audit``, the exit status and the
+    captured output."""
+    seen = []
+
+    def recorded(p):
+        try:
+            got = audit(p)
+        except ValueError as exc:
+            seen.append((type(exc), str(exc)))
+            raise
+        seen.append(got)
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(badseq, "audit_file", recorded)
+        status = main(["verify", str(path)])
+    return seen, status, capsys.readouterr()
+
+
 class TestAuditFile:
     """``audit_file``, the one pass of ``wpo verify``, gives what read_run
     and audit_run give: the same run and problems, or the same error."""
@@ -781,14 +801,11 @@ class TestAuditFile:
             lines = run_lines(generate(dim, base, 20))
             for what, tampered_lines in tampered_files(rng, dim, lines):
                 path.write_text("\n".join(tampered_lines) + "\n")
-                got = outcome(lambda: audit_file(str(path)))
-                assert got == outcome(lambda: reference_audit(str(path))), what
-                kinds.add("error" if isinstance(got[0], type) else bool(got[1]))
-                # and so wpo verify prints and exits as before
-                shown = main(["verify", str(path)]), capsys.readouterr()
-                with monkeypatch.context() as patch:
-                    patch.setattr(badseq, "audit_file", reference_audit)
-                    assert (main(["verify", str(path)]), capsys.readouterr()) == shown, what
+                # the same outcome, and so wpo verify prints and exits as before
+                got = verified(audit_file, path, monkeypatch, capsys)
+                assert got == verified(reference_audit, path, monkeypatch, capsys), what
+                [result] = got[0]
+                kinds.add("error" if isinstance(result[0], type) else bool(result[1]))
         assert kinds == {"error", True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -817,13 +834,12 @@ class TestAuditFile:
         # is parsed, and each record is the regenerated one
         for texts in parsed.values():
             texts.clear()
-        got, derived = badseq._read(str(path), derive=True)
+        got, regenerated = badseq._read(str(path), derive=True)
         assert got == run
         assert set(parsed["ordinal"]) == {start} and not parsed["gls"] and not parsed["ideal"]
-        assert all(r.lower_set is d[0] and r.ideal is d[3]
-                   for r, d in zip(got.records, derived))
+        assert all(r is d for r, d in zip(got.records, regenerated))
         # a record whose ordinal is written with spaces is the one line
-        # parsed, to the same run and the regenerated derivations
+        # parsed, to the same run and the same regenerated records
         k = 7 + len(run.records) // 2
         cols = lines[k].split("|")
         cols[1] = " " + cols[1].replace("+", " + ")
@@ -831,8 +847,8 @@ class TestAuditFile:
         path.write_text("\n".join(lines) + "\n")
         for texts in parsed.values():
             texts.clear()
-        run2, derived2 = badseq._read(str(path), derive=True)
-        assert run2 == run and derived2 == derived
+        run2, regenerated2 = badseq._read(str(path), derive=True)
+        assert run2 == run and regenerated2 == regenerated
         assert parsed == {"ordinal": [start, cols[1], start], "gls": [cols[2]],
                           "ideal": [cols[5]]}
         # a list with a repeated box is parsed, to the same value
@@ -841,9 +857,34 @@ class TestAuditFile:
         cols[2] += "u" + cols[2].split("u")[0]
         lines[7] = "|".join(cols)
         path.write_text("\n".join(lines) + "\n")
-        run2, derived2 = badseq._read(str(path), derive=True)
-        assert run2 == run and derived2 == derived
-        assert run2.records[0].lower_set is not derived2[0][0]
+        run2, regenerated2 = badseq._read(str(path), derive=True)
+        assert run2 == run and regenerated2 == regenerated
+        assert run2.records[0].lower_set is not regenerated2[0].lower_set
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_clean_file_steps_and_degrees_once_a_record(self, dim, tmp_path, monkeypatch):
+        path = tmp_path / "run.rec"
+        write_run(generate(dim, 2, 40), str(path))
+        calls = Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, call)
+
+        for name in ("fundamental", "predecessor", "descent_start"):
+            counted(badseq, name)
+        counted(MonomialIdeal, "degree")
+        run, problems = audit_file(str(path))
+        assert problems == [] and run == read_run(str(path))
+        # the regeneration's, which the audit takes as its own; each
+        # descent_start is one predecessor call
+        n = len(run.records)
+        assert calls["degree"] == n
+        assert calls["fundamental"] + calls["predecessor"] == n + calls["descent_start"]
 
 
 class TestSymbolicBound:

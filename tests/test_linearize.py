@@ -7,12 +7,27 @@ from hypothesis import given, settings, strategies as st
 from wpo import linearize
 from wpo.linearize import MonotoneReport, RankAssignment, check_monotone, lex_ordinal, ordinal_rank
 from wpo.lowerset import (UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls,
-                          inclusion_masks)
-from wpo.ordinal import ONE, ZERO, add, compare, from_int, natural_sum, parse_ordinal
+                          generators, inclusion_masks)
+from wpo.ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum, parse_ordinal
 
 
 def o(text):
     return parse_ordinal(text)
+
+
+def folded_rank(f):
+    """``ordinal_rank`` as the natural sum of the contributions, folded
+    one generator at a time."""
+    gens = generators(f)
+    if not gens:
+        return RankAssignment(f, ZERO, ())
+    total, contribs = ZERO, []
+    for g in gens:
+        if g[-1]:
+            term = Ordinal(((lex_ordinal(g[:-1]), g[-1]),))
+            total = natural_sum(total, term)
+            contribs.append((g, term))
+    return RankAssignment(f, add(total, ONE), tuple(contribs))
 
 
 class TestLexOrdinal:
@@ -59,6 +74,13 @@ class TestOrdinalRank:
             for _, term in r.contributions:
                 total = natural_sum(total, term)
             assert add(total, ONE) == r.value
+
+    def test_matches_natural_sum_fold(self):
+        boxes = [(2, 3, 4), (4, 4), (2, 2, 2, 2), (6,), (3, 3, 3), (2, 3, 2, 2)]
+        sets = [f for box in boxes for f in enumerate_fls(box)]
+        assert len(sets) == 2602
+        for f in sets:
+            assert ordinal_rank(f) == folded_rank(f)
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):

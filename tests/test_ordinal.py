@@ -1,10 +1,11 @@
 import random
+from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import rand_limit, rand_ordinal
+from support import rand_limit, rand_ordinal, ref_compare
 from wpo import ordinal
 from wpo.badseq import descent_start, generate
 from wpo.oracles import naive_hardy
@@ -105,6 +106,46 @@ class TestConstruction:
         assert o("w*2") > o("w+100")
         assert o("w^2") > o("w*1000+5")
         assert max(o("w+1"), o("w"), o("w+2")) == o("w+2")
+
+
+def assert_ordered(a, b):
+    """The order, equality and hash of a and b are as ref_compare has them."""
+    c = ref_compare(a, b)
+    assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+        c < 0, c <= 0, c == 0, c != 0, c >= 0, c > 0)
+    assert compare(a, b) == c
+    if c == 0:
+        assert hash(a) == hash(b)
+
+
+class TestOrder:
+    """An Ordinal is the tuple of its terms, and tuple order is the
+    order of normal forms."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.integers(0, 2**32))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        xs = [rand_ordinal(rng, 4) for _ in range(6)]
+        xs += [revalidated(x) for x in xs]  # equal, and distinct objects
+        for a in xs:
+            for b in xs:
+                assert_ordered(a, b)
+        assert sorted(xs) == sorted(xs, key=cmp_to_key(ref_compare))
+
+    @pytest.mark.parametrize("x,y", [("w^2", "w"), ("w+1", "w"), ("w*2", "w*3"), ("w", "w")])
+    def test_nested_to_the_limit(self, x, y):
+        # differ, if at all, only at the innermost exponent
+        a, b = (parse_ordinal("w^(" * MAX_NESTING + t + ")" * MAX_NESTING) for t in (x, y))
+        assert_ordered(a, b)
+        assert_ordered(a, revalidated(a))
+
+    def test_plus_adds_and_slices_concatenate(self):
+        a = o("w^2+w*3+4")
+        assert a + o("w*2") == o("w^2+w*5") and a + 3 == o("w^2+w*3+7")
+        assert o("w+5") + o("w^2") == o("w^2")
+        assert a[:-1] + ((ZERO, 9),) == ((from_int(2), 1), (ONE, 3), (ZERO, 9))
+        assert type(a[:-1]) is tuple and type(a.terms) is tuple and a.terms == a
 
 
 class TestFormatParse:
@@ -258,7 +299,7 @@ class TestOrdinalColumn:
             head + "w^2",
         ]
         got = column_outcomes(texts)
-        errors = [(g[1], g[2]) for g in got if isinstance(g, tuple)]
+        errors = [(g[1], g[2]) for g in got if not isinstance(g, Ordinal)]
         assert errors == [
             ("exponents must strictly decrease (at position 37)", 37),
             ("trailing input (at position 33)", 33),
