@@ -42,10 +42,11 @@ from .lowerset import (
 from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
-    OrdinalTexts,
     ZERO,
+    _trusted as _normal_form,
     common_prefix,
     format_ordinal,
+    format_term,
     fundamental,
     general_type,
     is_limit,
@@ -192,15 +193,15 @@ class _IdealFold:
         self.after: list = [(_stair_start(dim), [(0,) * dim])]
         self.boxes: list = []  # sorted self.rects
 
-    def derive(self, alpha: Ordinal):
+    def derive(self, alpha: Ordinal, kept: int):
         """The lower set, norm, extent and complement ideal of alpha's
-        staircase."""
+        staircase, where alpha starts with the first ``kept`` terms the
+        fold holds."""
         dim = self.dim
-        k = common_prefix(self.terms, alpha)
-        for r in self.rects[k:]:
+        for r in self.rects[kept:]:
             del self.boxes[bisect_left(self.boxes, r)]
-        del self.terms[k:], self.rects[k:], self.after[k + 1:]
-        tail = alpha[k:]
+        del self.terms[kept:], self.rects[kept:], self.after[kept + 1:]
+        tail = alpha[kept:]
         for term, (box, state) in zip(tail, _staircase(alpha, dim, self.after[-1][0], tail)):
             self.after.append((state, complement_points([box], dim, self.after[-1][1])))
             insort(self.boxes, box)
@@ -255,13 +256,17 @@ def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenc
 
 def _descent(dim: int, base: int):
     """The records of the dimension-``dim`` run with ``base``, lazily,
-    up to and including the record of 0.  Step i uses argument
-    base+i-1."""
+    up to and including the record of 0, each with the number of terms
+    its ordinal keeps of the one before: all but the last, since
+    ``fundamental`` and ``predecessor`` rewrite only the last term.
+    Step i uses argument base+i-1."""
     alpha = descent_start(dim)
     fold = _IdealFold(dim)
     for i in count(1):
-        alpha = _step(alpha, base + i - 1)
-        yield _derive(base, i, alpha, fold.derive(alpha))
+        kept = len(alpha) - 1
+        tail = _step(_normal_form(alpha[kept:]), base + i - 1)
+        alpha = _normal_form(alpha[:kept] + tail)
+        yield _derive(base, i, alpha, fold.derive(alpha, kept)), kept
         if alpha == ZERO:
             return
 
@@ -272,7 +277,8 @@ def generate(dim: int, base: int, limit: int) -> DescentRun:
     every ordinal reached."""
     if base < 1 or limit < 0:
         raise ValueError("base must be >= 1 and limit >= 0")
-    return DescentRun(dim, base, descent_start(dim), tuple(islice(_descent(dim, base), limit)))
+    records = islice(_descent(dim, base), limit)
+    return DescentRun(dim, base, descent_start(dim), tuple(r for r, _ in records))
 
 
 def symbolic_length_bound(dim: int, base: int) -> str:
@@ -367,7 +373,8 @@ def _audit(run: DescentRun, regenerated: list) -> list:
         # the next step then shares its terms with the next record's
         alpha = rec.alpha
         want = (regen if regen and regen.alpha == rec.alpha
-                else _derive(run.base, rec.index, rec.alpha, fold.derive(rec.alpha)))
+                else _derive(run.base, rec.index, rec.alpha,
+                             fold.derive(rec.alpha, common_prefix(fold.terms, rec.alpha))))
         for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
             got, exp = getattr(rec, name), getattr(want, name)
             if got != exp:
@@ -390,6 +397,8 @@ _COLUMNS = "index|ordinal|lowerset|norm|extent|ideal|degree|bound"
 
 
 def run_lines(run: DescentRun) -> list:
+    alphas = [r.alpha for r in run.records]
+    kept = map(common_prefix, [ZERO] + alphas, alphas)
     return [
         "# descent run",
         f"# dim: {run.dim}",
@@ -398,19 +407,23 @@ def run_lines(run: DescentRun) -> list:
         f"# records: {len(run.records)}",
         f"# length-bound: {symbolic_length_bound(run.dim, run.base)}",
         f"# columns: {_COLUMNS}",
-    ] + [line for _, line in _record_lines(run.records)]
+    ] + [line for _, line in _record_lines(zip(run.records, kept))]
 
 
-def _record_lines(records):
-    """Each of ``records`` with its line in a record file."""
+def _record_lines(steps):
+    """Each record of ``steps`` with its line in a record file.  A step
+    is a record and how many leading terms its ordinal keeps of the
+    ordinal of the record before (of 0 for the first)."""
     # consecutive records share most terms, boxes and generators, so
     # each is formatted once a run
-    box, point, ordinal = cache(format_box), cache(format_point), OrdinalTexts().text
-    for r in records:
+    box, point, terms = cache(format_box), cache(format_point), []
+    for r, kept in steps:
+        del terms[kept:]
+        terms += [format_term(e, c) for e, c in r.alpha[kept:]]
         yield r, "|".join(
             [
                 str(r.index),
-                ordinal(r.alpha),
+                "+".join(terms) or "0",
                 format_gls(r.lower_set, box),
                 str(r.norm),
                 str(r.extent),

@@ -357,25 +357,6 @@ def common_prefix(xs, ys) -> int:
     return k
 
 
-class OrdinalTexts:
-    """``format_ordinal`` of one ordinal after another, formatting only
-    the terms after those an ordinal shares with the one before it, as
-    consecutive records of a descent do."""
-
-    def __init__(self):
-        self._terms, self._texts = (), []
-
-    def text(self, a: Ordinal) -> str:
-        k = common_prefix(self._terms, a)
-        # formatted before either field changes, so a term whose text
-        # raises leaves the formatter as it was
-        tail = [format_term(exp, coeff) for exp, coeff in a[k:]]
-        del self._texts[k:]
-        self._texts += tail
-        self._terms = a
-        return "+".join(self._texts) if self._texts else "0"
-
-
 # Deepest exponent nesting parse_ordinal accepts.  The parser and the
 # arithmetic recurse once per level, so text nested past this is
 # rejected as malformed instead of overflowing the interpreter stack.

@@ -4,10 +4,11 @@ import re
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from support import rand_staircase_ordinal
+from support import rand_ordinal, rand_staircase_ordinal
 from wpo import badseq
 from wpo.badseq import (
     BadSequenceRecord,
@@ -49,6 +50,7 @@ from wpo.ordinal import (
     Ordinal,
     ZERO,
     add,
+    common_prefix,
     compare,
     format_ordinal,
     fundamental,
@@ -250,10 +252,11 @@ def check_derivations(dim, alphas):
             rects, norm = shape_from_ordinal(alpha, dim)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                fold.derive(alpha)
+                fold.derive(alpha, common_prefix(fold.terms, alpha))
             continue
         lset = GeneralLowerSet.make(dim, rects)
-        rec = badseq._derive(2, len(records) + 1, alpha, fold.derive(alpha))
+        derived = fold.derive(alpha, common_prefix(fold.terms, alpha))
+        rec = badseq._derive(2, len(records) + 1, alpha, derived)
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
         # the fold takes its lower set and ideal as built: the checked
         # constructors accept them
@@ -285,6 +288,60 @@ class TestDeriver:
             k = rng.randint(1, len(walk) - 1)
             bad = rng.choice([descent_start(dim), top, top + walk[k]])
             check_derivations(dim, walk[:k] + [bad] + walk[k:])
+
+
+class TestCursor:
+    """A descent step rewrites only the last term of a normal form, so
+    ``_descent`` steps that term alone and says how many terms it kept:
+    the fold and the writer take that count instead of comparing an
+    ordinal with the one before."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_last_term_step_is_the_step(self, dim):
+        rng = random.Random(1700 + dim)
+        start = descent_start(dim)
+        alphas = [rand_staircase_ordinal(rng, dim, max_terms=6) for _ in range(150)]
+        alphas += [a for a in (rand_ordinal(rng, 5) for _ in range(150)) if a < start]
+        for alpha in filter(None, alphas):
+            head, last = alpha.terms[:-1], Ordinal(alpha.terms[-1:])
+            for x in range(6):
+                step = badseq._step(alpha, x)
+                assert Ordinal(head + badseq._step(last, x).terms) == step, (alpha, x)
+                assert common_prefix(alpha, step) == len(head)
+
+    @pytest.mark.parametrize("dim,n", [(1, 10), (2, 300), (3, 120), (4, 60), (5, 40)])
+    def test_descent_says_what_each_step_kept(self, dim, n):
+        steps = list(islice(badseq._descent(dim, 2), n))
+        alpha = descent_start(dim)
+        for rec, kept in steps:
+            assert rec.alpha == badseq._step(alpha, 2 + rec.index - 1)
+            assert kept == common_prefix(alpha, rec.alpha) == len(alpha) - 1
+            alpha = rec.alpha
+        assert [line for _, line in badseq._record_lines(steps)] == \
+            [record_text(r) for r, _ in steps]
+
+    @pytest.mark.parametrize("dim,n", [(1, 10), (2, 60), (3, 40), (4, 20)])
+    def test_common_prefix_only_where_the_origin_is_unknown(self, dim, n, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        real = badseq.common_prefix
+
+        def counted(xs, ys):
+            calls.append(len(ys))
+            return real(xs, ys)
+        monkeypatch.setattr(badseq, "common_prefix", counted)
+        run = generate(dim, 2, n)
+        assert calls == []
+        path = tmp_path / "run.rec"
+        write_run(run, str(path))
+        # run_lines formats a run of any origin: one comparison a record
+        assert len(calls) == len(run.records)
+        calls.clear()
+        assert audit_file(str(path)) == (run, [])
+        assert calls == []
+        # the reference derives every stored ordinal through the fold
+        assert audit_run(run) == []
+        assert len(calls) == len(run.records)
 
 
 class TestGenerate:
@@ -348,10 +405,15 @@ class TestGenerate:
         (3, 120, 1, "3d0cc97b5c71a4cb83849e24359dddf73cae42255bce2ee181565ca94910c1ec"),
         (3, 120, 2, "ea7c88dceed722b3b2a1e981e474f7d2470ecb57ea2262061e4fa33703ffa824"),
         (3, 120, 3, "cc5912fdd0d79df8fbe7a30a64890e6f5a278ef992ec750b47c4780214859f2c"),
+        (1, 10, 3, "c12e9862181dfb1f117be6a1650c858479edfaeadb3ffeaaf8b7c82e138ade1e"),
+        (4, 100, 2, "3cf722a10948d29fc31c20ab316753af80f69978002c6a664829763de64b32e8"),
+        (5, 40, 2, "69c33ca21c1c5caf5e50a21a9863858a024eb74554ad2e82a991dfa319b7f1a0"),
     ])
     def test_pinned_record_files(self, dim, n, base, digest):
-        # sha256 of the `wpo badseq -m dim -K base -n n` output, taken
-        # from the dimension-2 and -3 shapes the staircase rule replaced
+        # sha256 of the `wpo badseq -m dim -K base -n n` output: dims 2
+        # and 3 taken from the shapes the staircase rule replaced, dims
+        # 1, 4 and 5 from the writer before the descent said which terms
+        # each step kept
         text = "\n".join(run_lines(generate(dim, base, n))) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import rand_limit, rand_ordinal, ref_compare
-from wpo import ordinal
 from wpo.badseq import descent_start, generate
 from wpo.oracles import naive_hardy
 from wpo.ordinal import (
@@ -17,7 +16,6 @@ from wpo.ordinal import (
     ONE,
     Ordinal,
     OrdinalParseError,
-    OrdinalTexts,
     ZERO,
     add,
     bounded_type,
@@ -234,13 +232,12 @@ def parse_outcome(parse, text):
 
 
 def column_outcomes(texts):
-    """parse_ordinal of each text; each ordinal that parses is fed in
-    turn to one OrdinalTexts, checked against format_ordinal."""
+    """parse_ordinal of each text; each ordinal that parses reads back
+    from its format_ordinal text."""
     got = [parse_outcome(parse_ordinal, t) for t in texts]
-    column = OrdinalTexts()
     for a in got:
         if isinstance(a, Ordinal):
-            assert column.text(a) == format_ordinal(a)
+            assert parse_ordinal(format_ordinal(a)) == a
     return got
 
 
@@ -255,8 +252,8 @@ TAILS = st.one_of(
 
 
 class TestOrdinalColumn:
-    """A column of ordinal texts, as a record file holds one: read by
-    parse_ordinal, written by OrdinalTexts from the ordinal before."""
+    """A column of ordinal texts, as a record file holds one, read by
+    parse_ordinal: consecutive texts share a prefix of terms."""
 
     @pytest.mark.parametrize("m,base,n", [
         (1, 2, 10), (1, 5, 10), (2, 2, 200), (2, 3, 200), (2, 5, 200),
@@ -308,17 +305,6 @@ class TestOrdinalColumn:
             (f"exponent nesting deeper than {MAX_NESTING} (at position 306)", 306),
         ]
         assert got[0] == o("w^(w^2+w*3)*2+w^(w+1)+w^3*4+w*2+7") and got[5] == ZERO
-
-    def test_a_term_that_fails_to_format_changes_nothing(self, monkeypatch):
-        column = OrdinalTexts()
-        column.text(o("w^3+w^2*4+w"))
-        real = ordinal.format_term
-        monkeypatch.setattr(ordinal, "format_term",
-                            lambda e, c: real(e, c) if c != 7 else 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            column.text(o("w^3+7"))
-        # the texts of the first ordinal's terms are all still there
-        assert column.text(o("w^3+w^2*4+5")) == "w^3+w^2*4+5"
 
 
 class TestArithmetic:
