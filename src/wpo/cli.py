@@ -160,69 +160,91 @@ def cmd_ideal(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+# Each command's help, handler and arguments, in the order that `wpo -h`
+# lists the commands.
+COMMANDS = {
+    "type": ("order type of a space of lower sets", cmd_type, (
+        _arg("descriptor", help="D(N^m), D(N^m x k), or I(N^m)"),
+    )),
+    "ord": ("ordinal rank of a finite lower set", cmd_ord, (
+        _arg("lower_set", help="generator list, e.g. {(0,1);(1,0)}"),
+        _arg("--dim", type=integer, default=None),
+    )),
+    "hardy": ("evaluate a Hardy function", cmd_hardy, (
+        _arg("alpha"),
+        _arg("x", type=integer),
+        _arg("--budget", type=integer, default=1_000_000),
+    )),
+    "descend": ("fundamental-sequence descent trace", cmd_descend, (
+        _arg("alpha"),
+        _arg("--base", type=integer, default=1),
+        _arg("--limit", type=integer, default=100),
+    )),
+    "badseq": ("generate a bad-sequence record file", cmd_badseq, (
+        _arg("-m", type=integer, required=True),
+        _arg("-K", dest="base", type=integer, default=2),
+        _arg("-n", dest="count", type=integer, required=True),
+        _arg("-o", dest="out", default=None),
+    )),
+    "verify": ("re-check a record file", cmd_verify, (
+        _arg("path"),
+    )),
+    "oracle": ("run a brute-force property suite", cmd_oracle, (
+        _arg("suite", choices=("monotone", "phi", "inclusion", "ideal", "spec")),
+        _arg("--box", default="4x4"),
+        _arg("--m", type=integer, default=2),
+        _arg("--pairs", type=integer, default=1000),
+        _arg("--samples", type=integer, default=200),
+        _arg("--seed", type=integer, default=0),
+        _arg("--max-extent", type=integer, default=3),
+        _arg("--max-rects", type=integer, default=3),
+    )),
+    "ideal": ("complement ideal of a lower set", cmd_ideal, (
+        _arg("lower_set", nargs="?", default=None),
+        _arg("--gens", default=None, help="reverse: lower set of an ideal"),
+        _arg("--dim", type=integer, default=None),
+    )),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command named ``only`` alone.
+
+    A parser of one command parses that command's lines as the full one
+    does; only ``wpo -h`` and the top-level errors read differently.
+    """
     parser = argparse.ArgumentParser(
         prog="wpo",
         description="Order types, ordinal descent, and lower sets of N^m.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("type", help="order type of a space of lower sets")
-    p.add_argument("descriptor", help="D(N^m), D(N^m x k), or I(N^m)")
-    p.set_defaults(func=cmd_type)
-
-    p = sub.add_parser("ord", help="ordinal rank of a finite lower set")
-    p.add_argument("lower_set", help="generator list, e.g. {(0,1);(1,0)}")
-    p.add_argument("--dim", type=integer, default=None)
-    p.set_defaults(func=cmd_ord)
-
-    p = sub.add_parser("hardy", help="evaluate a Hardy function")
-    p.add_argument("alpha")
-    p.add_argument("x", type=integer)
-    p.add_argument("--budget", type=integer, default=1_000_000)
-    p.set_defaults(func=cmd_hardy)
-
-    p = sub.add_parser("descend", help="fundamental-sequence descent trace")
-    p.add_argument("alpha")
-    p.add_argument("--base", type=integer, default=1)
-    p.add_argument("--limit", type=integer, default=100)
-    p.set_defaults(func=cmd_descend)
-
-    p = sub.add_parser("badseq", help="generate a bad-sequence record file")
-    p.add_argument("-m", type=integer, required=True)
-    p.add_argument("-K", dest="base", type=integer, default=2)
-    p.add_argument("-n", dest="count", type=integer, required=True)
-    p.add_argument("-o", dest="out", default=None)
-    p.set_defaults(func=cmd_badseq)
-
-    p = sub.add_parser("verify", help="re-check a record file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="run a brute-force property suite")
-    p.add_argument("suite", choices=("monotone", "phi", "inclusion", "ideal", "spec"))
-    p.add_argument("--box", default="4x4")
-    p.add_argument("--m", type=integer, default=2)
-    p.add_argument("--pairs", type=integer, default=1000)
-    p.add_argument("--samples", type=integer, default=200)
-    p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--max-extent", type=integer, default=3)
-    p.add_argument("--max-rects", type=integer, default=3)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("ideal", help="complement ideal of a lower set")
-    p.add_argument("lower_set", nargs="?", default=None)
-    p.add_argument("--gens", default=None, help="reverse: lower set of an ideal")
-    p.add_argument("--dim", type=integer, default=None)
-    p.set_defaults(func=cmd_ideal)
-
+    for name, (summary, func, arguments) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # A line that starts with a command is parsed by that command's
+        # parser alone.  The one top-level error left to it, unrecognized
+        # arguments, prints the full usage, so the full parser reports it.
+        # Anything else (no command, -h, an unknown word) goes to the full
+        # parser at once.
+        if argv and argv[0] in COMMANDS:
+            args, extras = build_parser(argv[0]).parse_known_args(argv)
+            if extras:
+                args = build_parser().parse_args(argv)
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

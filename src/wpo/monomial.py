@@ -69,7 +69,7 @@ class MonomialIdeal:
         """Largest total degree among the minimal generators."""
         if self.is_zero:
             raise ValueError("the zero ideal has no generating degree")
-        return max(sum(g) for g in self.gens)
+        return max(map(sum, self.gens))
 
     def __str__(self) -> str:
         return format_ideal(self)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -15,7 +16,7 @@ from support import rand_ordinal
 
 from wpo import badseq, linearize, oracles
 from wpo.badseq import DescentRun, generate, write_run
-from wpo.cli import main
+from wpo.cli import COMMANDS, build_parser, main
 from wpo.lowerset import closure
 from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING, format_ordinal
 
@@ -800,12 +801,105 @@ class TestContract:
         assert took < 2
 
 
+def reference_main(argv):
+    """``main`` with the full parser on every line: the reference that a
+    run parsing with its own command's parser must match byte for byte."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def outcome(run, argv):
+    """Exit status, stdout and stderr of ``run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="class")
+def fixed_columns():
+    # argparse wraps help to the terminal width, read from COLUMNS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        yield
+
+
+# what a line can hold that only the parser reads: help, the end of
+# options, abbreviated and joined options, words no command takes
+PARSER_TOKENS = [*COMMANDS, "-h", "--help", "--", "--bud", "--budget=3", "--he", "-hx", "-",
+                 "extra", "frobnicate", "w", "2", "5", "-m", "1", "-n", "-K", "--dim", "--dim=2",
+                 "{}", "--gens", "(1,0)", "--box", "1x2", "monotone", "--seed", "--li", "--b"]
+SOUP = st.lists(st.sampled_from(PARSER_TOKENS), max_size=6)
+TAIL = st.sampled_from([[], ["extra"], ["-h"], ["--help"], ["--", "extra"], ["--bud", "5"],
+                        ["--budget=3"], ["frobnicate", "extra"]])
+
+
+@pytest.mark.usefixtures("fixed_columns")
+class TestParsesAsTheFullParser:
+    """A run builds only its command's parser; its exit status, stdout and
+    stderr are those of the full parser on every line."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_LINES))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_command_lines(self, command, data):
+        argv = hostile_argv(data.draw, COMMAND_LINES[command]) + data.draw(TAIL)
+        assert outcome(main, argv) == outcome(reference_main, argv), argv
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(argv=SOUP | st.builds(lambda c, rest: [c, *rest], st.sampled_from(list(COMMANDS)), SOUP))
+    def test_token_soup(self, argv):
+        assert outcome(main, argv) == outcome(reference_main, argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["frobnicate"], ["hardy", "w", "2"], ["hardy", "-h"],
+        ["hardy", "w", "2", "extra"], ["hardy", "w"], ["hardy", "w", "x"],
+        ["--", "hardy", "w", "2"], ["hardy", "--", "w", "2"], ["hardy", "w", "2", "--bud", "5"],
+    ])
+    def test_reads_sys_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["wpo", *argv])
+        assert outcome(main, None) == outcome(reference_main, argv)
+
+
 class TestParserPlumbing:
     def test_no_arguments(self, capsys):
         assert run_cli(capsys)[0] == 2
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv,built", [
+        (["hardy", "w", "2"], 2),
+        (["-h"], 9),
+        (["frobnicate"], 9),
+        # the command's parser finds an extra word; the full one reports it
+        (["hardy", "w", "2", "extra"], 2 + 9),
+    ])
+    def test_parsers_built(self, capsys, monkeypatch, argv, built):
+        made = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(parser)
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run_cli(capsys, *argv)
+        assert len(made) == built
+
+    def test_commands_in_order(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert list(COMMANDS) == [
+            "type", "ord", "hardy", "descend", "badseq", "verify", "oracle", "ideal"]
+        assert build_parser().format_usage() == (
+            "usage: wpo [-h] {type,ord,hardy,descend,badseq,verify,oracle,ideal} ...\n")
 
 
 def test_import_starts_no_process_machinery():
