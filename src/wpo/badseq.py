@@ -24,8 +24,8 @@ their ordinals: extent <= norm at every record.
 import os
 from bisect import bisect_left, insort
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from dataclasses import dataclass, replace
+from functools import cache
 from itertools import count, islice
 from math import comb
 
@@ -61,7 +61,6 @@ def descent_start(dim: int) -> Ordinal:
     return predecessor(general_type(dim))
 
 
-@lru_cache(maxsize=1024)
 def _subset(dim: int, j: int, rank: int) -> tuple:
     """The j-subset of range(dim) at ``rank`` in lexicographic order."""
     out, x = [], 0
@@ -450,25 +449,33 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
-def _integer(text: str, least: int) -> int | None:
+def _integer(text: str, least: int, says: str) -> int:
     """``text`` as an int of at least ``least`` when ``vectors.integer``
-    reads it, as it reads every integer ``run_lines`` writes; else None."""
+    reads it, as it reads every integer ``run_lines`` writes; else a
+    ValueError that starts with ``says``."""
     with suppress(ValueError):
         if (n := integer(text)) >= least:
             return n
-    return None
+    raise ValueError(f"{says}, which is not an integer >= {least}")
 
 
-def _header_int(headers: dict, key: str, least: int) -> int:
-    if (n := _integer(headers[key], least)) is None:
-        raise ValueError(f"header says {key} {headers[key]}, which is not an integer >= {least}")
-    return n
-
-
-def _column_int(cols: list, k: int) -> int:
-    if (n := _integer(cols[k], 0)) is None:
-        raise ValueError(f"{_COLUMNS.split('|')[k]} says {cols[k]!r}, which is not an integer >= 0")
-    return n
+def _declared(headers: dict, derive: bool) -> tuple:
+    """The run the header block ``headers`` declares, with no records,
+    its ``records`` count, and the lines of the run regenerated with its
+    base.  With ``derive`` unset, or a start other than
+    descent_start(dim), nothing is regenerated; a dim above
+    MAX_GENERAL_DIM fails in ``general_type`` before it sizes anything."""
+    for key in ("dim", "base", "start", "records"):
+        if key not in headers:
+            raise ValueError(f"missing header {key!r}")
+    dim, base, n = (_integer(headers[key], least, f"header says {key} {headers[key]}")
+                        for key, least in (("dim", 1), ("base", 1), ("records", 0)))
+    start = parse_ordinal(headers["start"])
+    expected = iter(())
+    with suppress(ValueError):
+        if derive and _starts_a_run(start, dim) and start == descent_start(dim):
+            expected = _record_lines(_descent(dim, base))
+    return DescentRun(dim, base, start), n, expected
 
 
 def read_run(path: str) -> DescentRun:
@@ -489,46 +496,37 @@ def _read(path: str, derive: bool) -> tuple:
     """The run a record file holds, and per record the record of the
     run regenerated with the file's base, or None.
 
-    With ``derive`` set, the run is regenerated alongside once the
-    ``dim``, ``start`` and ``base`` headers read before the first record
-    are a run's: a start other than descent_start(dim) or a malformed
-    base builds nothing, and a dim above MAX_GENERAL_DIM fails in
-    ``general_type`` before it sizes anything.  The k-th record line is
-    matched with the k-th regenerated record, one record pulled per
-    line: a line equal to that record's line is that record, and any
-    other is parsed in full, as by ``read_run``.  A regeneration that
-    raises ends the matching, and the lines after it are parsed.  A
-    ``base`` header after the records that overrides the one the run
-    was regenerated with leaves no regenerated record.
+    The ``#`` lines before the first record line are the header block,
+    read once, at the first record line or at the end of a file with
+    none (``_declared``).  Every nonblank line after it is a record
+    line, so a header there is a bad record line.  With ``derive`` set,
+    the k-th record line is matched with the k-th regenerated record,
+    one record pulled per line: a line equal to that record's line is
+    that record, and any other is parsed in full, as by ``read_run``.
+    A regeneration that raises ends the matching, and the lines after
+    it are parsed.
     """
-    headers = {}
-    records, regenerated = [], []
-    expected = None  # set at the first record line
-    made_with = None  # the base of the regenerated run
+    headers, records, regenerated = {}, [], []
+    run = None  # set at the first record line
+
+    def number(cols, k):
+        return _integer(cols[k], 0, f"{_COLUMNS.split('|')[k]} says {cols[k]!r}")
+
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    headers[key.strip()] = val.strip()
-                continue
+            if run is None:
+                if line.startswith("#"):
+                    key, colon, val = line[1:].partition(":")
+                    if colon:
+                        headers[key.strip()] = val.strip()
+                    continue
+                run, n, expected = _declared(headers, derive)
             cols = line.split("|")
-            if len(cols) != 8 or "dim" not in headers:
+            if len(cols) != 8:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
-            if expected is None:
-                dim = _header_int(headers, "dim", 1)
-                expected = iter(())
-                if derive:
-                    with suppress(ValueError):
-                        start = parse_ordinal(headers.get("start", ""))
-                        base = _integer(headers.get("base", ""), 1)
-                        if base and _starts_a_run(start, dim) and start == descent_start(dim):
-                            expected = _record_lines(_descent(dim, base))
-                            made_with = base
             want = text = None
             with suppress(ValueError):
                 want, text = next(expected, (None, None))
@@ -537,25 +535,15 @@ def _read(path: str, derive: bool) -> tuple:
             else:
                 try:
                     rec = BadSequenceRecord(
-                        _column_int(cols, 0), parse_ordinal(cols[1]), parse_gls(cols[2], dim),
-                        _column_int(cols, 3), _column_int(cols, 4), parse_ideal(cols[5], dim),
-                        _column_int(cols, 6), _column_int(cols, 7))
+                        number(cols, 0), parse_ordinal(cols[1]), parse_gls(cols[2], run.dim),
+                        number(cols, 3), number(cols, 4), parse_ideal(cols[5], run.dim),
+                        number(cols, 6), number(cols, 7))
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from exc
             records.append(rec)
             regenerated.append(want)
-    for key in ("dim", "base", "start", "records"):
-        if key not in headers:
-            raise ValueError(f"missing header {key!r}")
-    if expected is None:
-        dim = _header_int(headers, "dim", 1)
-    base = _header_int(headers, "base", 1)
-    if _header_int(headers, "records", 0) != len(records):
-        raise ValueError(
-            f"header says {headers['records']} records but the file holds {len(records)}"
-        )
-    if base != made_with:
-        regenerated = [None] * len(records)
-    run = DescentRun(dim=dim, base=base, start=parse_ordinal(headers["start"]),
-                     records=tuple(records))
-    return run, regenerated
+    if run is None:
+        run, n, _ = _declared(headers, derive)
+    if n != len(records):
+        raise ValueError(f"header says {headers['records']} records but the file holds {len(records)}")
+    return replace(run, records=tuple(records)), regenerated

@@ -132,11 +132,8 @@ def cmd_oracle(args) -> int:
         rep = oracles.run_inclusion(dim=args.m, pairs=args.pairs, seed=args.seed)
     elif args.suite == "ideal":
         rep = oracles.run_ideal(dim=args.m, samples=args.pairs, seed=args.seed)
-    elif args.suite == "spec":
-        rep = oracles.run_spec(dim=args.m, samples=args.samples, seed=args.seed)
     else:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+        rep = oracles.run_spec(dim=args.m, samples=args.samples, seed=args.seed)
     print(rep)
     print(f"seed: {args.seed}")
     return 0 if rep.ok else 1

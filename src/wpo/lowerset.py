@@ -56,10 +56,10 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _check_boxes(rects, dim: int) -> None:
+def _check_boxes(rects, dim: int, least: int = 1) -> None:
     for r in rects:
         if len(r) != dim or not all(
-            (isinstance(e, int) and e >= 1) or e == UNBOUNDED for e in r
+            (isinstance(e, int) and e >= least) or e == UNBOUNDED for e in r
         ):
             raise ValueError(f"bad box {r} for dimension {dim}")
 
@@ -78,9 +78,11 @@ class GeneralLowerSet:
 
     @classmethod
     def make(cls, dim: int, rects) -> "GeneralLowerSet":
-        """Canonicalize: drop empty boxes, keep only maximal extent tuples."""
-        live = [tuple(r) for r in rects if all(e != 0 for e in r)]
-        _check_boxes(live, dim)
+        """Canonicalize: check every box, drop the empty ones (an extent
+        0), keep only maximal extent tuples."""
+        boxes = [tuple(r) for r in rects]
+        _check_boxes(boxes, dim, least=0)
+        live = [r for r in boxes if 0 not in r]
         return _trusted(cls, dim=dim, rects=tuple(maximal_points(live, dim)))
 
     @property

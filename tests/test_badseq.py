@@ -739,7 +739,9 @@ def tampered(rng, text, texts, sep, fmt, empty, malformed):
 
 
 COLUMN_TAMPERING = {
-    2: ("u", format_box, "empty", ["[1,,2]", "[", "", " [1]", "[2,x]", "(1)", "[-1]", "[01]"]),
+    # "[0,0,0,0,0]" is empty, but of the wrong arity in dims 1-4
+    2: ("u", format_box, "empty",
+        ["[1,,2]", "[", "", " [1]", "[2,x]", "(1)", "[-1]", "[01]", "[0,0,0,0,0]"]),
     5: (";", format_point, "0", ["(1,,2)", "(", "", " (1)", "(2,x)", "[1]", "(-1)", "empty"]),
 }
 
@@ -749,8 +751,9 @@ def tampered_files(rng, dim, lines):
     lower-set or ideal column tampered, an ordinal, index or norm
     changed, an ordinal written with spaces, a 4300-digit index, a
     record dropped, repeated, swapped with the next or copied after the
-    last, a wrong ``records`` header, CRLF line endings, and headers
-    after the records."""
+    last, a wrong ``records`` header, CRLF line endings, another start
+    or base, and headers after the first record, in the cases whose
+    names end "the records", which the readers refuse."""
     head, body = lines[:7], lines[7:]
     rows = [line.split("|") for line in body]
 
@@ -794,14 +797,16 @@ def tampered_files(rng, dim, lines):
     last = "|".join([str(len(rows) + 1)] + rows[-1][1:])
     yield "last record copied after it", one_more(head) + body + [last]
     yield "CRLF line endings", [line + "\r" for line in lines]
+    # the headers are the "#" lines before the first record, and the
+    # readers refuse a file with a header after it: a header block
+    # without all of dim, base, start and records is missing one, and a
+    # "#" line after a record is a bad record line
     yield "headers after the records", body + head
-    # the dim header alone before the records: no start to guard a fold
     yield "start after the records", head[1:2] + body + head[:1] + head[2:]
     start = head.index(f"# start: {format_ordinal(descent_start(dim))}")
     for text in ("w", format_ordinal(omega_pow(omega_pow(dim))), "w^w+"):
         yield f"start {text}", head[:start] + [f"# start: {text}"] + head[start + 1:] + body
-    # a run's start before the records, overridden after them by one of
-    # the same form: the regenerated run is not the one audited
+    # a run's start before the records, and one of the same form after
     text = format_ordinal(omega_pow(add(descent_start(dim).terms[0][0], ONE)))
     yield f"start {text} after the records", lines + [f"# start: {text}"]
     # the same ordinal with spaces around each '+': parsed, not stepped
@@ -810,12 +815,15 @@ def tampered_files(rng, dim, lines):
     yield f"record {k + 1} column 1 {text}", with_cell(k, 1, text)
     # an index whose step argument has too many digits for str()
     yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
-    # the base header alone after the records, or another base before
-    # them that the one after overrides: no regenerated run, one with
-    # the wrong base, or one whose first bound has too many digits for
-    # str(), which ends the regeneration
+    # another base: a regenerated run whose every line differs, none,
+    # or one whose first bound has too many digits for str(), which ends
+    # the regeneration
     at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
     base = int(head[at].partition(":")[2])
+    for text in (str(base + 1), "0", "9" * 2200):
+        yield f"base {text}", head[:at] + [f"# base: {text}"] + head[at + 1:] + body
+    # the base header alone after the records, or another base before
+    # them and the file's own after them
     yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
     for text in (str(base + 1), "0", "9" * 2200):
         yield (f"base {text} before the records",
@@ -871,6 +879,32 @@ class TestAuditFile:
         assert kinds == {"error", True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_header_after_a_record_refused(self, dim, tmp_path, capsys):
+        # the header block is checked at the first record, so one that
+        # lacks a header or says base 0 is refused there; else the "#"
+        # line after the records is a bad record line
+        path = tmp_path / "run.rec"
+        lines = run_lines(generate(dim, 2, 20))
+        first = {"headers after the records": "missing header 'dim'",
+                 "start after the records": "missing header 'base'",
+                 "base after the records": "missing header 'base'",
+                 "base 0 before the records": "header says base 0, which is not an integer >= 1"}
+        late = [(what, tampered_lines)
+                for what, tampered_lines in tampered_files(random.Random(dim), dim, lines)
+                if what.endswith("the records")]
+        assert len(late) == 7
+        for what, tampered_lines in late:
+            path.write_text("\n".join(tampered_lines) + "\n")
+            want = first.get(what) or (
+                f"line {len(tampered_lines)}: bad record line: {tampered_lines[-1]!r}")
+            for read in (read_run, audit_file):
+                with pytest.raises(ValueError) as exc:
+                    read(str(path))
+                assert str(exc.value) == want, what
+            assert main(["verify", str(path)]) == 2, what
+            assert capsys.readouterr() == ("", f"error: {want}\n"), what
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_clean_records_are_taken_as_derived(self, dim, tmp_path, monkeypatch):
         path = tmp_path / "run.rec"
         write_run(generate(dim, 2, 40), str(path))
@@ -887,18 +921,19 @@ class TestAuditFile:
         counted("ideal", parse_ideal)
         start = format_ordinal(descent_start(dim))
         lines = path.read_text().splitlines()
-        # read_run, the reference, parses every column
+        # read_run, the reference, parses the start header once, before
+        # the records, then every column
         run = read_run(str(path))
         rows = [line.split("|") for line in lines[7:]]
-        assert parsed == {"ordinal": [r[1] for r in rows] + [start],
+        assert parsed == {"ordinal": [start] + [r[1] for r in rows],
                           "gls": [r[2] for r in rows], "ideal": [r[5] for r in rows]}
         # every line is the regenerated record's: only the start header
-        # is parsed, and each record is the regenerated one
+        # is parsed, once, and each record is the regenerated one
         for texts in parsed.values():
             texts.clear()
         got, regenerated = badseq._read(str(path), derive=True)
         assert got == run
-        assert set(parsed["ordinal"]) == {start} and not parsed["gls"] and not parsed["ideal"]
+        assert parsed == {"ordinal": [start], "gls": [], "ideal": []}
         assert all(r is d for r, d in zip(got.records, regenerated))
         # a record whose ordinal is written with spaces is the one line
         # parsed, to the same run and the same regenerated records
@@ -911,7 +946,7 @@ class TestAuditFile:
             texts.clear()
         run2, regenerated2 = badseq._read(str(path), derive=True)
         assert run2 == run and regenerated2 == regenerated
-        assert parsed == {"ordinal": [start, cols[1], start], "gls": [cols[2]],
+        assert parsed == {"ordinal": [start, cols[1]], "gls": [cols[2]],
                           "ideal": [cols[5]]}
         # a list with a repeated box is parsed, to the same value
         lines = path.read_text().splitlines()

@@ -153,8 +153,9 @@ class TestCanonicalForm:
             GeneralLowerSet.make(2, [(1.5, 2)])
         with pytest.raises(ValueError):
             GeneralLowerSet.make(2, [(-1, 2)])
-        with pytest.raises(ValueError):
-            GeneralLowerSet.make(2, [(1, 2, 3)])
+        for rects in ([(1, 2, 3)], [(0,), (1, 2)], [(0, -1)], [(0, 1.5)]):
+            with pytest.raises(ValueError):
+                GeneralLowerSet.make(2, rects)
 
     def test_make_builds_what_the_constructor_accepts(self):
         rng = random.Random(12)
@@ -610,6 +611,14 @@ class TestTextForm:
 
     def test_spaces_tolerated(self):
         assert parse_gls(" [2, w] u [w, 2] ").rects == ((2, W), (W, 2))
+
+    # a 0 extent empties a box of the right arity, which is then dropped;
+    # a box of another arity is refused, empty or not
+    @pytest.mark.parametrize("text", ["[0]u[1,2]", "[1,2]u[0]", "[2,w]u[0,5,1]", "[0,0,0]"])
+    def test_empty_boxes_checked_before_dropped(self, text):
+        with pytest.raises(ValueError, match="for dimension 2"):
+            parse_gls(text, 2)
+        assert parse_gls("[0,5]u[2,w]u[w,0]", 2).rects == ((2, W),)
 
 
 def test_lowerset_does_not_import_monomial():
