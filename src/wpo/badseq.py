@@ -270,12 +270,27 @@ def _descent(dim: int, base: int):
             return
 
 
+# Most digits a run's base may have.  Its bounds (base+index)^2 then
+# have at most 4001, within the 4300 digits that str() writes.
+MAX_BASE_DIGITS = 2000
+
+
+def _check_base(base: int) -> None:
+    """Refuse a base of more than MAX_BASE_DIGITS digits, by its digit
+    count.  A base read from text has at most the 4300 digits int()
+    reads, so str() gives that count."""
+    if base >= 10 ** MAX_BASE_DIGITS:
+        raise ValueError(f"base has {len(str(base))} digits, more than the "
+                         f"{MAX_BASE_DIGITS} a run takes")
+
+
 def generate(dim: int, base: int, limit: int) -> DescentRun:
     """Descend ``limit`` steps from descent_start(dim), recording the
     staircase lower set, both size gauges, and the complement ideal of
     every ordinal reached."""
     if base < 1 or limit < 0:
         raise ValueError("base must be >= 1 and limit >= 0")
+    _check_base(base)
     records = islice(_descent(dim, base), limit)
     return DescentRun(dim, base, descent_start(dim), tuple(r for r, _ in records))
 
@@ -470,6 +485,7 @@ def _declared(headers: dict, derive: bool) -> tuple:
             raise ValueError(f"missing header {key!r}")
     dim, base, n = (_integer(headers[key], least, f"header says {key} {headers[key]}")
                         for key, least in (("dim", 1), ("base", 1), ("records", 0)))
+    _check_base(base)
     start = parse_ordinal(headers["start"])
     expected = iter(())
     with suppress(ValueError):
@@ -503,8 +519,6 @@ def _read(path: str, derive: bool) -> tuple:
     the k-th record line is matched with the k-th regenerated record,
     one record pulled per line: a line equal to that record's line is
     that record, and any other is parsed in full, as by ``read_run``.
-    A regeneration that raises ends the matching, and the lines after
-    it are parsed.
     """
     headers, records, regenerated = {}, [], []
     run = None  # set at the first record line
@@ -527,9 +541,7 @@ def _read(path: str, derive: bool) -> tuple:
             cols = line.split("|")
             if len(cols) != 8:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
-            want = text = None
-            with suppress(ValueError):
-                want, text = next(expected, (None, None))
+            want, text = next(expected, (None, None))
             if line == text:
                 rec = want
             else:

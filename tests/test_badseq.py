@@ -463,6 +463,8 @@ class TestGenerate:
             generate(2, 0, 5)
         with pytest.raises(ValueError):
             generate(0, 2, 5)
+        with pytest.raises(ValueError, match="base has 2001 digits"):
+            generate(2, 10**2000, 5)
         assert generate(2, 2, 0).records == ()
 
 
@@ -751,9 +753,11 @@ def tampered_files(rng, dim, lines):
     lower-set or ideal column tampered, an ordinal, index or norm
     changed, an ordinal written with spaces, a 4300-digit index, a
     record dropped, repeated, swapped with the next or copied after the
-    last, a wrong ``records`` header, CRLF line endings, another start
-    or base, and headers after the first record, in the cases whose
-    names end "the records", which the readers refuse."""
+    last, a wrong ``records`` header, CRLF line endings, blank lines,
+    another start or base, and headers after the first record, in the
+    cases whose names end "the records", which the readers refuse.
+    ``VERDICTS`` has the exit status of ``wpo verify`` on the cases
+    whose tampering decides it."""
     head, body = lines[:7], lines[7:]
     rows = [line.split("|") for line in body]
 
@@ -763,6 +767,22 @@ def tampered_files(rng, dim, lines):
         return head + body[:k] + ["|".join(cols)] + body[k + 1:]
 
     yield "clean", lines
+    yield "blank lines between records", head + [x for line in body for x in ("", line)]
+    # a record in the middle: a degree past its bound; the ordinal of the
+    # record before; a malformed box or generator after its own, read
+    # after the items before it; an empty box of the wrong arity first
+    k = len(rows) // 2
+    yield (f"record {k + 1} degree past its bound",
+           with_cell(k, 6, str(int(rows[k][7]) + 1)))
+    yield f"record {k + 1} with record {k}'s ordinal", with_cell(k, 1, rows[k - 1][1])
+    yield (f"record {k + 1} with a malformed box after its own",
+           with_cell(k, 2, rows[k][2] + "u[1,,2]"))
+    yield (f"record {k + 1} with a malformed generator after its own",
+           with_cell(k, 5, rows[k][5] + ";(1,,2)"))
+    yield (f"record {k + 1} with an empty box of the wrong arity first",
+           with_cell(k, 2, f"[{','.join(['0'] * (dim + 1))}]u{rows[k][2]}"))
+    # the last record holds the first one's lower set, so contains it
+    yield f"record {len(rows)} holds record 1's lower set", with_cell(len(rows) - 1, 2, rows[0][2])
     for _ in range(8):
         k = rng.randrange(len(rows))
         for column, (sep, fmt, empty, malformed) in COLUMN_TAMPERING.items():
@@ -812,22 +832,39 @@ def tampered_files(rng, dim, lines):
     # the same ordinal with spaces around each '+': parsed, not stepped
     k = rng.randrange(len(rows))
     text = " " + rows[k][1].replace("+", " + ")
-    yield f"record {k + 1} column 1 {text}", with_cell(k, 1, text)
+    yield f"record {k + 1} ordinal with spaces around each '+'", with_cell(k, 1, text)
     # an index whose step argument has too many digits for str()
     yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
-    # another base: a regenerated run whose every line differs, none,
-    # or one whose first bound has too many digits for str(), which ends
-    # the regeneration
+    # another base: a regenerated run whose every line differs, or a
+    # base that no run takes, too small or of too many digits
     at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
     base = int(head[at].partition(":")[2])
     for text in (str(base + 1), "0", "9" * 2200):
         yield f"base {text}", head[:at] + [f"# base: {text}"] + head[at + 1:] + body
-    # the base header alone after the records, or another base before
-    # them and the file's own after them
+    # the base header alone after the records, another one after them,
+    # or another base before them and the file's own after them
     yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
+    yield f"base {base + 1} after the records", lines + [f"# base: {base + 1}"]
     for text in (str(base + 1), "0", "9" * 2200):
         yield (f"base {text} before the records",
                head[:at] + [f"# base: {text}"] + head[at + 1:] + body + head[at:at + 1])
+
+
+# `wpo verify`'s exit status on the cases of tampered_files whose
+# tampering decides it, by name with each number written N
+VERDICTS = {
+    "clean": 0,
+    "blank lines between records": 0,
+    "CRLF line endings": 0,
+    "record N ordinal with spaces around each '+'": 0,
+    "record N degree past its bound": 1,
+    "record N with record N's ordinal": 1,
+    "record N holds record N's lower set": 1,
+    "record N repeated": 1,
+    "record N with a malformed box after its own": 2,
+    "record N with a malformed generator after its own": 2,
+    "record N with an empty box of the wrong arity first": 2,
+}
 
 
 def reference_audit(path):
@@ -866,7 +903,7 @@ class TestAuditFile:
     def test_matches_read_run_and_audit_run(self, dim, tmp_path, capsys, monkeypatch):
         rng = random.Random(1300 + dim)
         path = tmp_path / "run.rec"
-        kinds = set()
+        kinds, pinned = set(), set()
         for base in (2, 3):
             lines = run_lines(generate(dim, base, 20))
             for what, tampered_lines in tampered_files(rng, dim, lines):
@@ -876,23 +913,30 @@ class TestAuditFile:
                 assert got == verified(reference_audit, path, monkeypatch, capsys), what
                 [result] = got[0]
                 kinds.add("error" if isinstance(result[0], type) else bool(result[1]))
+                name = re.sub(r"\d+", "N", what)
+                if name in VERDICTS:
+                    assert got[1] == VERDICTS[name], what
+                    pinned.add(name)
         assert kinds == {"error", True, False}
+        assert pinned == set(VERDICTS)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_header_after_a_record_refused(self, dim, tmp_path, capsys):
         # the header block is checked at the first record, so one that
-        # lacks a header or says base 0 is refused there; else the "#"
-        # line after the records is a bad record line
+        # lacks a header or says a base no run takes is refused there;
+        # else the "#" line after the records is a bad record line
         path = tmp_path / "run.rec"
         lines = run_lines(generate(dim, 2, 20))
         first = {"headers after the records": "missing header 'dim'",
                  "start after the records": "missing header 'base'",
                  "base after the records": "missing header 'base'",
-                 "base 0 before the records": "header says base 0, which is not an integer >= 1"}
+                 "base 0 before the records": "header says base 0, which is not an integer >= 1",
+                 f"base {'9' * 2200} before the records":
+                     "base has 2200 digits, more than the 2000 a run takes"}
         late = [(what, tampered_lines)
                 for what, tampered_lines in tampered_files(random.Random(dim), dim, lines)
                 if what.endswith("the records")]
-        assert len(late) == 7
+        assert len(late) == 8
         for what, tampered_lines in late:
             path.write_text("\n".join(tampered_lines) + "\n")
             want = first.get(what) or (

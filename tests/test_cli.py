@@ -17,7 +17,8 @@ from support import rand_ordinal
 from wpo import badseq, linearize, oracles
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import COMMANDS, build_parser, main
-from wpo.lowerset import closure
+from wpo.lowerset import GeneralLowerSet, closure
+from wpo.monomial import MonomialIdeal
 from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING, format_ordinal
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -336,6 +337,22 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: header says base {base}, which is not an integer >= 1\n"
 
+    def test_base_of_too_many_digits_refused(self, capsys, tmp_path):
+        # a base of 2000 digits is the largest a run takes: its bounds
+        # (base+index)^2 stay within the digits str() writes
+        path = tmp_path / "run.rec"
+        largest = "9" * 2000
+        argv = ["badseq", "-m", "2", "-n", "3", "-K"]
+        assert run_cli(capsys, *argv, largest, "-o", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0 and "audit problems: 0" in out
+        text = path.read_text()
+        for base, digits in (("1" + "0" * 2000, 2001), ("9" * 2200, 2200)):
+            want = f"error: base has {digits} digits, more than the 2000 a run takes\n"
+            assert run_cli(capsys, *argv, base) == (2, "", want)
+            path.write_text(text.replace(f"\n# base: {largest}\n", f"\n# base: {base}\n"))
+            assert run_cli(capsys, "verify", str(path)) == (2, "", want)
+
     # "\u0662" is ARABIC-INDIC DIGIT TWO, which int() reads as 2
     @pytest.mark.parametrize("dim", ["abc", "0", "-2", "\u0662", "02"])
     def test_dim_header_not_a_dimension(self, capsys, tmp_path, dim):
@@ -502,10 +519,10 @@ class TestBadseqVerify:
         assert code == 2 and out == ""
         assert err == f"error: need 1 <= m <= {MAX_GENERAL_DIM}\n"
 
-    @pytest.mark.parametrize("m", ["1", "4"])
+    @pytest.mark.parametrize("m", ["1", "2", "3", "4", "5"])
     def test_new_dimensions_verify(self, capsys, tmp_path, m):
         path = str(tmp_path / "run.rec")
-        assert run_cli(capsys, "badseq", "-m", m, "-K", "2", "-n", "10", "-o", path)[0] == 0
+        assert run_cli(capsys, "badseq", "-m", m, "-K", "2", "-n", "40", "-o", path)[0] == 0
         code, out, _ = run_cli(capsys, "verify", path)
         assert code == 0
         assert "audit problems: 0" in out and "violation: none" in out
@@ -553,6 +570,64 @@ class TestBadseqVerify:
         assert time.perf_counter() - began < 5
         assert code == 2 and out == ""
         assert err == f"error: need 1 <= m <= {MAX_GENERAL_DIM}\n"
+
+
+def _empty(dim):
+    return GeneralLowerSet.make(dim, [])
+
+
+def _wrong_the_second_time(real):
+    """``compose_parts`` that gives the empty set for parts it composed
+    before.  A sample's second round trip decomposes the set that the
+    first gave back, so its parts come again."""
+    seen = []
+
+    def compose(parts, dim):
+        if parts in seen:
+            return _empty(dim)
+        seen.append(parts)
+        return real(parts, dim)
+    return compose
+
+
+# A fault planted in what an oracle suite checks: the suite's argv, the
+# owner and name of the function replaced, the fault made from the real
+# function, and the failures the report must list.
+PLANTED_FAULTS = [
+    pytest.param(["inclusion", "--pairs", "40"], GeneralLowerSet, "includes",
+                 lambda real: lambda s, t: True, ["includes disagrees for"], id="includes"),
+    pytest.param(["inclusion", "--pairs", "40"], GeneralLowerSet, "union",
+                 lambda real: lambda s, t: s, ["union wrong at"], id="union"),
+    pytest.param(["inclusion", "--pairs", "40"], GeneralLowerSet, "intersect",
+                 lambda real: lambda s, t: s, ["intersection wrong at"], id="intersect"),
+    pytest.param(["ideal", "--pairs", "40"], oracles, "complement_ideal",
+                 lambda real: lambda s: real(_empty(s.dim)), ["membership law fails at"],
+                 id="complement_ideal"),
+    pytest.param(["ideal", "--pairs", "40"], oracles, "complement_lowerset",
+                 lambda real: lambda i: _empty(i.dim), ["complement round trip fails"],
+                 id="complement_lowerset"),
+    pytest.param(["ideal", "--pairs", "40"], MonomialIdeal, "degree",
+                 lambda real: lambda i: 10**6, ["degree 1000000 above envelope"], id="degree"),
+    pytest.param(["ideal", "--pairs", "40"], MonomialIdeal, "includes",
+                 lambda real: lambda i, j: True, ["antitonicity fails"], id="ideal-includes"),
+    pytest.param(["phi", "--max-rects", "1", "--samples", "0"], oracles, "compose_parts",
+                 lambda real: lambda parts, dim: _empty(dim),
+                 ["enumerated: round trip fails"], id="compose-enumerated"),
+    pytest.param(["phi", "--max-rects", "0", "--samples", "5"], oracles, "compose_parts",
+                 lambda real: lambda parts, dim: _empty(dim),
+                 ["sample 0: round trip fails"], id="compose-sampled"),
+    pytest.param(["phi", "--max-rects", "0", "--samples", "5"], oracles, "compose_parts",
+                 _wrong_the_second_time, ["sample 0: second round trip fails"],
+                 id="compose-second"),
+    pytest.param(["spec", "--samples", "5"], oracles, "validate_specification",
+                 lambda real: lambda p: ["planted"], ["induced spec invalid", ": planted"],
+                 id="validate_specification"),
+    pytest.param(["spec", "--samples", "5"], oracles, "is_compatible",
+                 lambda real: lambda s, p: False,
+                 ["incompatible with its own spec", "trivial spec rejects"], id="never-compatible"),
+    pytest.param(["spec", "--samples", "5"], oracles, "is_compatible",
+                 lambda real: lambda s, p: True, ["fails to pin down"], id="always-compatible"),
+]
 
 
 class TestOracleCommand:
@@ -674,6 +749,16 @@ class TestOracleCommand:
     def test_zero_count_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "inclusion", "--pairs", "0")
         assert code == 0 and out == "inclusion dim=2: 0 cases, ok\nseed: 0\n"
+
+    @pytest.mark.parametrize("argv,owner,name,fault,listed", PLANTED_FAULTS)
+    def test_planted_fault_reported(self, capsys, monkeypatch, argv, owner, name, fault, listed):
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+        code, out, _ = run_cli(capsys, "oracle", *argv)
+        assert code == 1
+        head, *failures = out.splitlines()
+        assert head.endswith(" FAILURES") and failures[-1] == "seed: 0"
+        for text in listed:
+            assert any(text in line for line in failures[:-1]), text
 
     def test_monotone_violations_printed(self, capsys, monkeypatch):
         # ranks of {(0,0)} and {(0,2)} swapped: each set prints in its
@@ -903,7 +988,9 @@ class TestParserPlumbing:
 
 
 def test_import_starts_no_process_machinery():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the directory of the wpo this suite imported: the checkout's src,
+    # or wherever the package is installed
+    src = str(Path(badseq.__file__).resolve().parents[1])
     code = (
         "import sys, wpo.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "

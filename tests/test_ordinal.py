@@ -242,6 +242,9 @@ def column_outcomes(texts):
 
 
 DEEP = "w^(" * (MAX_NESTING + 1) + "w" + ")" * (MAX_NESTING + 1)
+# two towers 98 exponents deep that differ only innermost: as exponents
+# of a sum's terms they nest to the limit, and the larger must come first
+TALL, SHORT = ("w^(" * 98 + t + ")" * 98 for t in ("w^2", "w"))
 
 # tails spliced onto a reused prefix: sums that may or may not decrease
 # from it, trailing input, zeros, stray '+' and nesting past the limit
@@ -294,6 +297,8 @@ class TestOrdinalColumn:
             head + "w*02+7",          # a leading zero
             "w^2+" + DEEP,
             head + "w^2",
+            f"w^({TALL})+w^({SHORT})",
+            f"w^({SHORT})+w^({TALL})",
         ]
         got = column_outcomes(texts)
         errors = [(g[1], g[2]) for g in got if not isinstance(g, Ordinal)]
@@ -303,8 +308,10 @@ class TestOrdinalColumn:
             ("zero term in a sum (at position 29)", 29),
             ("leading zero (at position 30)", 30),
             (f"exponent nesting deeper than {MAX_NESTING} (at position 306)", 306),
+            ("exponents must strictly decrease (at position 797)", 797),
         ]
         assert got[0] == o("w^(w^2+w*3)*2+w^(w+1)+w^3*4+w*2+7") and got[5] == ZERO
+        assert isinstance(got[10], Ordinal) and len(got[10]) == 2
 
 
 class TestArithmetic:
