@@ -53,7 +53,7 @@ from .ordinal import (
     parse_ordinal,
     predecessor,
 )
-from .vectors import format_point, integer
+from .vectors import format_point, integer, shown
 
 
 def descent_start(dim: int) -> Ordinal:
@@ -207,8 +207,8 @@ class _IdealFold:
             self.terms.append(term)
             self.rects.append(box)
         state, outside = self.after[-1]
-        lset = _trusted(GeneralLowerSet, dim=dim, rects=tuple(self.boxes))
-        ideal = _trusted(MonomialIdeal, dim=dim, gens=tuple(outside))
+        lset = _trusted(GeneralLowerSet, dim, tuple(self.boxes))
+        ideal = _trusted(MonomialIdeal, dim, tuple(outside))
         return lset, _norm(state), max(state[0], default=0), ideal
 
 
@@ -464,14 +464,14 @@ def write_run(run: DescentRun, path: str) -> None:
         raise
 
 
-def _integer(text: str, least: int, says: str) -> int:
+def _integer(text: str, least: int, says: str, form=repr) -> int:
     """``text`` as an int of at least ``least`` when ``vectors.integer``
     reads it, as it reads every integer ``run_lines`` writes; else a
-    ValueError that starts with ``says``."""
+    ValueError: ``says`` and the text, as ``shown`` gives it with ``form``."""
     with suppress(ValueError):
         if (n := integer(text)) >= least:
             return n
-    raise ValueError(f"{says}, which is not an integer >= {least}")
+    raise ValueError(f"{says} {shown(text, form)}, which is not an integer >= {least}")
 
 
 def _declared(headers: dict, derive: bool) -> tuple:
@@ -483,7 +483,7 @@ def _declared(headers: dict, derive: bool) -> tuple:
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
-    dim, base, n = (_integer(headers[key], least, f"header says {key} {headers[key]}")
+    dim, base, n = (_integer(headers[key], least, f"header says {key}", str)
                         for key, least in (("dim", 1), ("base", 1), ("records", 0)))
     _check_base(base)
     start = parse_ordinal(headers["start"])
@@ -524,7 +524,7 @@ def _read(path: str, derive: bool) -> tuple:
     run = None  # set at the first record line
 
     def number(cols, k):
-        return _integer(cols[k], 0, f"{_COLUMNS.split('|')[k]} says {cols[k]!r}")
+        return _integer(cols[k], 0, f"{_COLUMNS.split('|')[k]} says")
 
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

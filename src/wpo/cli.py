@@ -2,35 +2,42 @@
 
 Exit status contract: 0 all checks pass, 1 a property violation was
 found, 2 usage or parse error.
+
+Start-up and imports are most of a short command's wall time, so this
+module imports only what the parser needs and each handler what it runs,
+when called: only ``badseq`` and ``verify`` load ``dataclasses``.
 """
 
 import argparse
 import re
 import sys
 
-from . import badseq as bs
-from . import oracles
-from .linearize import check_monotone, ordinal_rank
-from .lowerset import format_fls, parse_fls, parse_gls
-from .monomial import complement_ideal, complement_lowerset, format_ideal, parse_ideal, pretty_ideal
-from .ordinal import (MAX_GENERAL_DIM, bounded_type, descend, format_ordinal, general_type,
-                      hardy, parse_ordinal)
-from .vectors import NATURAL, integer
+from .vectors import NATURAL, integer, shown
+
+
+def _integer(text: str) -> int:
+    """``integer`` as an option type: argparse echoes whole a text refused
+    with ValueError, so the refusal names the text as ``shown`` does."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {shown(text)}") from None
 
 
 def cmd_type(args) -> int:
+    from .ordinal import bounded_type, general_type
     d = "".join(args.descriptor.split())
     m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?\)", d)
     if m:
-        print(format_ordinal(bounded_type(int(m.group(1) or 1), 1)))
+        print(bounded_type(int(m.group(1) or 1), 1))
         return 0
     m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?x({NATURAL})\)", d)
     if m:
-        print(format_ordinal(bounded_type(int(m.group(1) or 1), int(m.group(2)))))
+        print(bounded_type(int(m.group(1) or 1), int(m.group(2))))
         return 0
     m = re.fullmatch(rf"I\(N(?:\^({NATURAL}))?\)", d)
     if m:
-        print(format_ordinal(general_type(int(m.group(1) or 1))))
+        print(general_type(int(m.group(1) or 1)))
         return 0
     print(
         f"error: cannot read space descriptor {args.descriptor!r}; "
@@ -42,39 +49,44 @@ def cmd_type(args) -> int:
 
 def _dim(args):
     """``--dim``, refused outside 0..MAX_GENERAL_DIM before it sizes anything."""
+    from .ordinal import MAX_GENERAL_DIM
     if args.dim is not None and not 0 <= args.dim <= MAX_GENERAL_DIM:
         raise ValueError(f"need 0 <= dim <= {MAX_GENERAL_DIM}")
     return args.dim
 
 
 def cmd_ord(args) -> int:
-    f = parse_fls(args.lower_set, _dim(args))
-    print(format_ordinal(ordinal_rank(f).value))
+    from .linearize import ordinal_rank
+    from .lowerset import parse_fls
+    print(ordinal_rank(parse_fls(args.lower_set, _dim(args))).value)
     return 0
 
 
 def cmd_hardy(args) -> int:
+    from .ordinal import hardy, parse_ordinal
     outcome = hardy(parse_ordinal(args.alpha), args.x, args.budget)
     if outcome.finished:
         print(outcome.value)
     else:
         print(
-            f"residual: H_{{{format_ordinal(outcome.ordinal)}}}({outcome.argument}) "
+            f"residual: H_{{{outcome.ordinal}}}({outcome.argument}) "
             f"after {outcome.steps} steps (budget exhausted)"
         )
     return 0
 
 
 def cmd_descend(args) -> int:
+    from .ordinal import descend, parse_ordinal
     trace = descend(parse_ordinal(args.alpha), args.base, args.limit)
     for step in trace.steps:
-        print(format_ordinal(step))
+        print(step)
     if trace.truncated:
         print(f"# truncated: {trace.reason}")
     return 0
 
 
 def cmd_badseq(args) -> int:
+    from . import badseq as bs
     run = bs.generate(args.m, args.base, args.count)
     if args.out:
         bs.write_run(run, args.out)
@@ -84,6 +96,7 @@ def cmd_badseq(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import badseq as bs
     run, problems = bs.audit_file(args.path)
     report = bs.verify_bad(run)
     print(f"records: {report.count}")
@@ -105,7 +118,7 @@ def _parse_box(text: str) -> tuple:
     except ValueError:
         box = ()
     if not box or any(e < 1 for e in box):
-        raise ValueError(f"cannot read --box {text!r}; expected e.g. 4x4")
+        raise ValueError(f"cannot read --box {shown(text)}; expected e.g. 4x4")
     return box
 
 
@@ -113,17 +126,19 @@ def cmd_oracle(args) -> int:
     if min(args.pairs, args.samples, args.max_rects) < 0:
         raise ValueError("--pairs, --samples and --max-rects must be at least 0")
     if args.suite == "monotone":
+        from .linearize import check_monotone
+        from .lowerset import format_fls
         rep = check_monotone(_parse_box(args.box))
         print(
             f"monotone box={args.box}: {rep.sets_counted} sets, "
             f"{rep.pairs_checked} pairs, {len(rep.violations)} violations"
         )
         for s, t, rs, rt in rep.violations[:10]:
-            print(f"  {format_fls(s)} <= {format_fls(t)} "
-                  f"but {format_ordinal(rs)} > {format_ordinal(rt)}")
+            print(f"  {format_fls(s)} <= {format_fls(t)} but {rs} > {rt}")
         return 0 if rep.ok else 1
     if args.m < 1:
         raise ValueError("--m must be at least 1")
+    from . import oracles
     if args.suite == "phi":
         rep = oracles.run_phi(dim=args.m, max_extent=args.max_extent,
                               max_rects=args.max_rects, seed=args.seed,
@@ -140,6 +155,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    from .lowerset import parse_gls
+    from .monomial import complement_ideal, complement_lowerset, parse_ideal, pretty_ideal
     dim = _dim(args)
     if args.gens is not None:
         ideal = parse_ideal(args.gens, dim)
@@ -150,7 +167,7 @@ def cmd_ideal(args) -> int:
         return 2
     s = parse_gls(args.lower_set, dim)
     ideal = complement_ideal(s)
-    print(f"gens: {format_ideal(ideal)}")
+    print(f"gens: {ideal}")
     print(f"pretty: {pretty_ideal(ideal)}")
     if not ideal.is_zero:
         print(f"degree: {ideal.degree()}")
@@ -169,22 +186,22 @@ COMMANDS = {
     )),
     "ord": ("ordinal rank of a finite lower set", cmd_ord, (
         _arg("lower_set", help="generator list, e.g. {(0,1);(1,0)}"),
-        _arg("--dim", type=integer, default=None),
+        _arg("--dim", type=_integer, default=None),
     )),
     "hardy": ("evaluate a Hardy function", cmd_hardy, (
         _arg("alpha"),
-        _arg("x", type=integer),
-        _arg("--budget", type=integer, default=1_000_000),
+        _arg("x", type=_integer),
+        _arg("--budget", type=_integer, default=1_000_000),
     )),
     "descend": ("fundamental-sequence descent trace", cmd_descend, (
         _arg("alpha"),
-        _arg("--base", type=integer, default=1),
-        _arg("--limit", type=integer, default=100),
+        _arg("--base", type=_integer, default=1),
+        _arg("--limit", type=_integer, default=100),
     )),
     "badseq": ("generate a bad-sequence record file", cmd_badseq, (
-        _arg("-m", type=integer, required=True),
-        _arg("-K", dest="base", type=integer, default=2),
-        _arg("-n", dest="count", type=integer, required=True),
+        _arg("-m", type=_integer, required=True),
+        _arg("-K", dest="base", type=_integer, default=2),
+        _arg("-n", dest="count", type=_integer, required=True),
         _arg("-o", dest="out", default=None),
     )),
     "verify": ("re-check a record file", cmd_verify, (
@@ -193,17 +210,17 @@ COMMANDS = {
     "oracle": ("run a brute-force property suite", cmd_oracle, (
         _arg("suite", choices=("monotone", "phi", "inclusion", "ideal", "spec")),
         _arg("--box", default="4x4"),
-        _arg("--m", type=integer, default=2),
-        _arg("--pairs", type=integer, default=1000),
-        _arg("--samples", type=integer, default=200),
-        _arg("--seed", type=integer, default=0),
-        _arg("--max-extent", type=integer, default=3),
-        _arg("--max-rects", type=integer, default=3),
+        _arg("--m", type=_integer, default=2),
+        _arg("--pairs", type=_integer, default=1000),
+        _arg("--samples", type=_integer, default=200),
+        _arg("--seed", type=_integer, default=0),
+        _arg("--max-extent", type=_integer, default=3),
+        _arg("--max-rects", type=_integer, default=3),
     )),
     "ideal": ("complement ideal of a lower set", cmd_ideal, (
         _arg("lower_set", nargs="?", default=None),
         _arg("--gens", default=None, help="reverse: lower set of an ideal"),
-        _arg("--dim", type=integer, default=None),
+        _arg("--dim", type=_integer, default=None),
     )),
 }
 

@@ -9,7 +9,7 @@ which check_monotone witnesses by exhausting every pair inside a
 finite grid.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .lowerset import GeneralLowerSet, enumerate_fls, generators
@@ -25,11 +25,8 @@ def lex_ordinal(vec) -> Ordinal:
     return _trusted([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v])
 
 
-@dataclass(frozen=True)
-class RankAssignment:
-    lower_set: GeneralLowerSet
-    value: Ordinal
-    contributions: tuple  # (generator, ordinal term) pairs, zero terms dropped
+class RankAssignment(namedtuple("RankAssignment", "lower_set value contributions")):
+    __slots__ = ()  # contributions: (generator, ordinal term) pairs, zero terms dropped
 
 
 def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
@@ -51,12 +48,8 @@ def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
     return RankAssignment(f, add(total, ONE), contribs)
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    box: tuple
-    sets_counted: int
-    pairs_checked: int
-    violations: tuple
+class MonotoneReport(namedtuple("MonotoneReport", "box sets_counted pairs_checked violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

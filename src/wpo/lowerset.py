@@ -21,7 +21,7 @@ is complement_points negated.  monomial.py wraps those points in ideals.
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from operator import ge, lt
 
@@ -49,11 +49,10 @@ def _check_dim(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _trusted(cls, **fields):
-    """``cls(**fields)`` minus its ``__post_init__`` check: canonical fields only."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)  # frozen: plain attribute assignment raises
-    return obj
+def _trusted(cls, *fields):
+    """``cls(*fields)`` minus its ``__new__`` check, for canonical fields
+    only: the tuple of the fields, as ``ordinal._trusted`` builds an Ordinal."""
+    return tuple.__new__(cls, fields)
 
 
 def _check_boxes(rects, dim: int, least: int = 1) -> None:
@@ -64,17 +63,16 @@ def _check_boxes(rects, dim: int, least: int = 1) -> None:
             raise ValueError(f"bad box {r} for dimension {dim}")
 
 
-@dataclass(frozen=True)
-class GeneralLowerSet:
+class GeneralLowerSet(namedtuple("GeneralLowerSet", "dim rects")):
     """A finite union of boxes in canonical form: the maximal boxes, sorted."""
 
-    dim: int
-    rects: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_boxes(self.rects, self.dim)
-        if list(self.rects) != maximal_points(self.rects, self.dim):
+    def __new__(cls, dim: int, rects: tuple = ()):
+        _check_boxes(rects, dim)
+        if list(rects) != maximal_points(rects, dim):
             raise ValueError("boxes must be the sorted maximal ones")
+        return tuple.__new__(cls, (dim, rects))
 
     @classmethod
     def make(cls, dim: int, rects) -> "GeneralLowerSet":
@@ -83,7 +81,7 @@ class GeneralLowerSet:
         boxes = [tuple(r) for r in rects]
         _check_boxes(boxes, dim, least=0)
         live = [r for r in boxes if 0 not in r]
-        return _trusted(cls, dim=dim, rects=tuple(maximal_points(live, dim)))
+        return _trusted(cls, dim, tuple(maximal_points(live, dim)))
 
     @property
     def max_finite_extent(self) -> int:
@@ -268,7 +266,7 @@ def from_complement(points, dim: int) -> GeneralLowerSet:
                                 [(-UNBOUNDED,) * dim])
     boxes = [tuple(-c for c in q) for q in reversed(outside) if 0 not in q]
     _check_boxes(boxes, dim)
-    return _trusted(GeneralLowerSet, dim=dim, rects=tuple(boxes))
+    return _trusted(GeneralLowerSet, dim, tuple(boxes))
 
 
 def intersection_image(s: GeneralLowerSet, coords) -> GeneralLowerSet:
@@ -324,14 +322,11 @@ def decompose_parts(t: GeneralLowerSet) -> dict:
 # partial specifications
 
 
-@dataclass(frozen=True)
-class PartialSpecification:
+class PartialSpecification(namedtuple("PartialSpecification", "dim domain assignment")):
     """An assignment of a proper lower set to each coordinate subset in a
     graded downward closed family of subsets of {0..dim-1}."""
 
-    dim: int
-    domain: frozenset
-    assignment: dict
+    __slots__ = ()
 
 
 def trivial_specification(dim: int) -> PartialSpecification:
@@ -472,7 +467,7 @@ def enumerate_fls(box):
             if found > MAX_LOWER_SETS:
                 raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
             rects = tuple([tuple(c + 1 for c in p) for p in sorted(tops)])
-            yield _trusted(GeneralLowerSet, dim=dim, rects=rects)
+            yield _trusted(GeneralLowerSet, dim, rects)
         else:
             if all(q in chosen for q in preds[k]):
                 stack += [("drop", k, tops), ("visit", k + 1, None), ("add", k, None)]

@@ -10,7 +10,7 @@ complement itself is computed in lowerset.py (complement_points,
 from_complement); this module wraps its points in ideals.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lowerset import GeneralLowerSet, _trusted, complement_points, from_complement
 from .vectors import dominates, format_point, format_points, minimal_points, parse_points
@@ -24,21 +24,20 @@ def _check_gens(gens, dim: int) -> None:
             raise ValueError(f"bad exponent vector {g} for dimension {dim}")
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    dim: int
-    gens: tuple = ()
+class MonomialIdeal(namedtuple("MonomialIdeal", "dim gens")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_gens(self.gens, self.dim)
-        if list(self.gens) != minimal_points(self.gens, self.dim):
+    def __new__(cls, dim: int, gens: tuple = ()):
+        _check_gens(gens, dim)
+        if list(gens) != minimal_points(gens, dim):
             raise ValueError("generators must be a sorted antichain")
+        return tuple.__new__(cls, (dim, gens))
 
     @classmethod
     def make(cls, dim: int, gens) -> "MonomialIdeal":
         gens = [tuple(g) for g in gens]
         _check_gens(gens, dim)
-        return _trusted(cls, dim=dim, gens=tuple(minimal_points(gens, dim)))
+        return _trusted(cls, dim, tuple(minimal_points(gens, dim)))
 
     @property
     def is_zero(self) -> bool:

@@ -10,7 +10,7 @@ makes one rewrite per step where ``ordinal.hardy`` jumps.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .lowerset import (
@@ -29,11 +29,8 @@ from .monomial import complement_ideal, complement_lowerset
 from .ordinal import HardyOutcome, fundamental, is_successor, predecessor
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    cases: int
-    failures: tuple = ()
+class OracleReport(namedtuple("OracleReport", "name cases failures", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

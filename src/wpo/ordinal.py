@@ -9,7 +9,7 @@ closed-form order types used by the rest of the package.
 Text form: ``w^(w+2)+w^2*3+5`` (see parse_ordinal / format_ordinal).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 
@@ -212,8 +212,8 @@ def fundamental(lam: Ordinal, x: int) -> Ordinal:
     return _trusted(prefix + step)
 
 
-@dataclass(frozen=True)
-class HardyOutcome:
+class HardyOutcome(namedtuple("HardyOutcome", "steps value ordinal argument",
+                              defaults=(None, None, None))):
     """Result of a budgeted Hardy evaluation.
 
     Either ``value`` is set (the run reached 0), or ``ordinal`` and
@@ -221,10 +221,7 @@ class HardyOutcome:
     ``steps`` counts rule applications either way.
     """
 
-    steps: int
-    value: int | None = None
-    ordinal: Ordinal | None = None
-    argument: int | None = None
+    __slots__ = ()
 
     @property
     def finished(self) -> bool:
@@ -261,19 +258,15 @@ def hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
     return HardyOutcome(steps=steps, value=x)
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(namedtuple("DescentTrace", "start base steps truncated reason",
+                              defaults=(None,))):
     """A fundamental-sequence descent alpha, alpha[K], alpha[K][K+1], ...
 
     ``truncated`` is False only when the trace ends at 0; otherwise
     ``reason`` says whether the step limit or a successor stopped it.
     """
 
-    start: Ordinal
-    base: int
-    steps: tuple
-    truncated: bool
-    reason: str | None = None
+    __slots__ = ()
 
 
 def descend(alpha0, base: int, limit: int) -> DescentTrace:

@@ -105,6 +105,12 @@ def integer(text: str) -> int:
     raise ValueError(f"not an integer: {text!r}")
 
 
+def shown(text: str, form=repr) -> str:
+    """``form(text)`` for an error line, or, for a text longer than the
+    4300 digits ``int`` reads, its length: such a text is not echoed."""
+    return form(text) if len(text) <= 4300 else f"<{len(text)} characters>"
+
+
 def format_point(p: tuple) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 

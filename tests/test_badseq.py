@@ -836,16 +836,18 @@ def tampered_files(rng, dim, lines):
     # an index whose step argument has too many digits for str()
     yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
     # another base: a regenerated run whose every line differs, or a
-    # base that no run takes, too small or of too many digits
+    # base that no run takes, too small, of too many digits, or of more
+    # than int() reads
     at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
     base = int(head[at].partition(":")[2])
-    for text in (str(base + 1), "0", "9" * 2200):
+    bases = (str(base + 1), "0", "9" * 2200, "9" * 5000)
+    for text in bases:
         yield f"base {text}", head[:at] + [f"# base: {text}"] + head[at + 1:] + body
     # the base header alone after the records, another one after them,
     # or another base before them and the file's own after them
     yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
     yield f"base {base + 1} after the records", lines + [f"# base: {base + 1}"]
-    for text in (str(base + 1), "0", "9" * 2200):
+    for text in bases:
         yield (f"base {text} before the records",
                head[:at] + [f"# base: {text}"] + head[at + 1:] + body + head[at:at + 1])
 
@@ -932,11 +934,13 @@ class TestAuditFile:
                  "base after the records": "missing header 'base'",
                  "base 0 before the records": "header says base 0, which is not an integer >= 1",
                  f"base {'9' * 2200} before the records":
-                     "base has 2200 digits, more than the 2000 a run takes"}
+                     "base has 2200 digits, more than the 2000 a run takes",
+                 f"base {'9' * 5000} before the records":
+                     "header says base <5000 characters>, which is not an integer >= 1"}
         late = [(what, tampered_lines)
                 for what, tampered_lines in tampered_files(random.Random(dim), dim, lines)
                 if what.endswith("the records")]
-        assert len(late) == 8
+        assert len(late) == 9
         for what, tampered_lines in late:
             path.write_text("\n".join(tampered_lines) + "\n")
             want = first.get(what) or (

@@ -163,20 +163,24 @@ INTEGER_OPTIONS = [
 ]
 
 
-# int() reads each of these but "\u00b2" (SUPERSCRIPT TWO); "\u0663" is
-# ARABIC-INDIC DIGIT THREE
+# int() reads each of these but "\u00b2" (SUPERSCRIPT TWO) and the
+# 5000 nines, more digits than it reads; "\u0663" is ARABIC-INDIC DIGIT
+# THREE.  The error line names a text past those digits by its length.
 @pytest.mark.parametrize("option,argv", INTEGER_OPTIONS,
                          ids=[f"{argv[0]} {option}" for option, argv in INTEGER_OPTIONS])
-@pytest.mark.parametrize("text", ["\u0663", "\u00b2", "02", "+1", "1_0", " 1", "-0"])
+@pytest.mark.parametrize("text", ["\u0663", "\u00b2", "02", "+1", "1_0", " 1", "-0",
+                                  pytest.param("9" * 5000, id="5000 nines")])
 def test_integer_options_read_ascii_integers(capsys, option, argv, text):
     argv = [a.replace("VALUE", text) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err
     if option == "--box":
-        assert err == f"error: cannot read --box {argv[-1]!r}; expected e.g. 4x4\n"
+        shown = repr(argv[-1]) if len(text) < 5000 else "<5002 characters>"
+        assert err == f"error: cannot read --box {shown}; expected e.g. 4x4\n"
     else:
-        assert f"error: argument {option}: invalid integer value: {text!r}" in err
+        shown = repr(text) if len(text) < 5000 else "<5000 characters>"
+        assert err.endswith(f"error: argument {option}: invalid integer value: {shown}\n")
 
 
 def test_negative_integers_still_read(capsys):
@@ -798,7 +802,7 @@ def _points(sep, coordinate, fmt):
 # guards, which refuse at once, see a huge one.  "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO.
 SMALL = st.sampled_from(["0", "1", "2"])
 BAD_NUMBER = st.sampled_from(
-    ["-1", "-0", "02", "+1", "1_0", " 1", "\u0663", "\u00b2", "", "w", "^", "[1]"])
+    ["-1", "-0", "02", "+1", "1_0", " 1", "\u0663", "\u00b2", "", "w", "^", "[1]", "9" * 5000])
 NUMBER = (SMALL, BAD_NUMBER)
 ORDINAL = (
     st.randoms(use_true_random=False).map(lambda rng: format_ordinal(rand_ordinal(rng))),
@@ -872,6 +876,7 @@ class TestContract:
         code, err, took = run_contained(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+        assert len(err) < 1000, argv  # no text of 5000 nines echoed
         assert took < 2, argv
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -987,20 +992,68 @@ class TestParserPlumbing:
             "usage: wpo [-h] {type,ord,hardy,descend,badseq,verify,oracle,ideal} ...\n")
 
 
-def test_import_starts_no_process_machinery():
-    # the directory of the wpo this suite imported: the checkout's src,
-    # or wherever the package is installed
+FRESH_RUN = """\
+import sys, wpo.cli
+if sys.argv[1:]:
+    status = wpo.cli.main(sys.argv[1:])
+else:
+    status = 0
+    wpo.cli.build_parser()
+print(status, *sorted(m for m in sys.modules if m == "concurrent.futures.process"
+                      or m.partition(".")[0] in ("wpo", "dataclasses", "multiprocessing")))
+"""
+
+
+def fresh_run(*argv):
+    """``wpo.cli.main(argv)``, or with no argv ``import wpo.cli`` and
+    ``build_parser()``, in a fresh interpreter: its exit status, and the
+    wpo modules, dataclasses and process machinery it loaded.  The
+    interpreter imports the wpo this suite imported, from the checkout's
+    src or wherever the package is installed."""
     src = str(Path(badseq.__file__).resolve().parents[1])
-    code = (
-        "import sys, wpo.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", FRESH_RUN, *argv], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     ).stdout
-    assert out.strip() == "[]"
+    status, *loaded = out.splitlines()[-1].split()
+    return int(status), {m.removeprefix("wpo.") for m in loaded} - {"wpo", "cli", "vectors"}
+
+
+def test_import_starts_no_process_machinery():
+    # the parser alone: no command's modules, no dataclasses
+    assert fresh_run() == (0, set())
+
+
+# Each command line and oracle suite with the modules its run adds to
+# wpo, wpo.cli and wpo.vectors.  Only badseq needs dataclasses; ideal
+# loads ordinal for the bound its --dim check reads.  A fresh
+# interpreter also shows an import cycle that a handler meets when it is
+# the first to import a module; this suite imports every one up front.
+BADSEQ = {"badseq", "lowerset", "monomial", "ordinal", "dataclasses"}
+ORACLES = {"oracles", "lowerset", "monomial", "ordinal"}
+FRESH_RUNS = [
+    (["type", "I(N^3)"], {"ordinal"}),
+    (["ord", "{(0,1);(1,0)}", "--dim", "2"], {"linearize", "lowerset", "ordinal"}),
+    (["hardy", "w^(w+2)", "3", "--budget", "600"], {"ordinal"}),
+    (["descend", "w^2", "--base", "2"], {"ordinal"}),
+    (["badseq", "-m", "2", "-n", "5"], BADSEQ),
+    (["verify", "RUN"], BADSEQ),
+    (["oracle", "monotone", "--box", "2x2"], {"linearize", "lowerset", "ordinal"}),
+    (["oracle", "phi", "--samples", "5"], ORACLES),
+    (["oracle", "inclusion", "--pairs", "5"], ORACLES),
+    (["oracle", "ideal", "--pairs", "5"], ORACLES),
+    (["oracle", "spec", "--samples", "5"], ORACLES),
+    (["ideal", "[2,1]u[1,3]"], {"lowerset", "monomial", "ordinal"}),
+    (["ideal", "--gens", "(2,0);(0,1)"], {"lowerset", "monomial", "ordinal"}),
+]
+
+
+@pytest.mark.parametrize("argv,loads", FRESH_RUNS, ids=[" ".join(a[:2]) for a, _ in FRESH_RUNS])
+def test_run_loads_only_its_modules(tmp_path, argv, loads):
+    path = tmp_path / "run.rec"
+    write_run(generate(2, 2, 5), str(path))
+    argv = [str(path) if a == "RUN" else a for a in argv]
+    assert fresh_run(*argv) == (0, loads)
 
 
 def readme_examples():

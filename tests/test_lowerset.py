@@ -38,7 +38,11 @@ from wpo.lowerset import (
     trivial_specification,
     validate_specification,
 )
-from wpo.oracles import brute_equal, brute_includes, grid, grid_bound, rand_gls, rand_proper_gls
+from wpo.linearize import MonotoneReport, RankAssignment
+from wpo.monomial import MonomialIdeal
+from wpo.oracles import (OracleReport, brute_equal, brute_includes, grid, grid_bound, rand_gls,
+                         rand_proper_gls)
+from wpo.ordinal import OMEGA, ONE, DescentTrace, HardyOutcome
 from wpo.vectors import dominates, maximal_points, minimal_points
 
 W = UNBOUNDED
@@ -632,3 +636,46 @@ def test_lowerset_does_not_import_monomial():
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
     assert not [n for n in names if "monomial" in n]
+
+
+# The records outside badseq, each built from its positional fields with
+# the defaults left out, the same by keyword, and its repr.  The
+# specification holds a dict, so it has no hash.
+RECORD_CONTRACT = [
+    (GeneralLowerSet(2), GeneralLowerSet(dim=2, rects=()), "GeneralLowerSet(dim=2, rects=())"),
+    (MonomialIdeal(2), MonomialIdeal(gens=(), dim=2), "MonomialIdeal(dim=2, gens=())"),
+    (OracleReport("phi", 3), OracleReport(name="phi", cases=3, failures=()),
+     "OracleReport(name='phi', cases=3, failures=())"),
+    (HardyOutcome(4), HardyOutcome(steps=4, value=None, ordinal=None, argument=None),
+     "HardyOutcome(steps=4, value=None, ordinal=None, argument=None)"),
+    (DescentTrace(OMEGA, 2, (OMEGA, ONE), True),
+     DescentTrace(start=OMEGA, base=2, steps=(OMEGA, ONE), truncated=True, reason=None),
+     "DescentTrace(start=Ordinal[w], base=2, steps=(Ordinal[w], Ordinal[1]), truncated=True, "
+     "reason=None)"),
+    (PartialSpecification(1, frozenset(), {}),
+     PartialSpecification(dim=1, domain=frozenset(), assignment={}),
+     "PartialSpecification(dim=1, domain=frozenset(), assignment={})"),
+    (RankAssignment(GeneralLowerSet(2, ((1, 2),)), OMEGA, ()),
+     RankAssignment(lower_set=GeneralLowerSet(2, ((1, 2),)), value=OMEGA, contributions=()),
+     "RankAssignment(lower_set=GeneralLowerSet(dim=2, rects=((1, 2),)), value=Ordinal[w], "
+     "contributions=())"),
+    (MonotoneReport((2, 2), 6, 36, ()),
+     MonotoneReport(box=(2, 2), sets_counted=6, pairs_checked=36, violations=()),
+     "MonotoneReport(box=(2, 2), sets_counted=6, pairs_checked=36, violations=())"),
+]
+
+
+@pytest.mark.parametrize("record,by_keyword,text", RECORD_CONTRACT,
+                         ids=[type(r).__name__ for r, _, _ in RECORD_CONTRACT])
+def test_record_contract(record, by_keyword, text):
+    assert repr(record) == repr(by_keyword) == text
+    assert record == by_keyword and not record != by_keyword
+    if isinstance(record, PartialSpecification):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(by_keyword)
+    field = text[text.index("(") + 1:text.index("=")]
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
