@@ -43,15 +43,15 @@ from .monomial import MonomialIdeal, format_ideal, parse_ideal
 from .ordinal import (
     Ordinal,
     ZERO,
+    _rewrite,
     _trusted as _normal_form,
     common_prefix,
     format_ordinal,
     format_term,
-    fundamental,
     general_type,
-    is_limit,
     parse_ordinal,
     predecessor,
+    step,
 )
 from .vectors import format_point, integer, shown
 
@@ -232,11 +232,6 @@ class DescentRun:
     records: tuple = ()
 
 
-def _step(alpha: Ordinal, x: int) -> Ordinal:
-    """One descent step with argument x."""
-    return fundamental(alpha, x) if is_limit(alpha) else predecessor(alpha)
-
-
 def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenceRecord:
     """The record a run stores for ``alpha`` at ``index``, from the
     fold's derivation of alpha."""
@@ -256,17 +251,15 @@ def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenc
 def _descent(dim: int, base: int):
     """The records of the dimension-``dim`` run with ``base``, lazily,
     up to and including the record of 0, each with the number of terms
-    its ordinal keeps of the one before: all but the last, since
-    ``fundamental`` and ``predecessor`` rewrite only the last term.
-    Step i uses argument base+i-1."""
-    alpha = descent_start(dim)
+    its ordinal keeps of the one before, as ``_rewrite`` says.  Step i
+    uses argument base+i-1."""
+    terms = list(descent_start(dim))
     fold = _IdealFold(dim)
     for i in count(1):
-        kept = len(alpha) - 1
-        tail = _step(_normal_form(alpha[kept:]), base + i - 1)
-        alpha = _normal_form(alpha[:kept] + tail)
+        kept = _rewrite(terms, base + i - 1)
+        alpha = _normal_form(terms)
         yield _derive(base, i, alpha, fold.derive(alpha, kept)), kept
-        if alpha == ZERO:
+        if not terms:
             return
 
 
@@ -379,7 +372,7 @@ def _audit(run: DescentRun, regenerated: list) -> list:
         if regen and alpha == (regenerated[k - 1].alpha if k else start):
             alpha = regen.alpha
         else:
-            alpha = _step(alpha, run.base + rec.index - 1)
+            alpha = step(alpha, run.base + rec.index - 1)
         tag = f"record {rec.index}"
         if rec.alpha != alpha:
             problems.append(f"{tag}: ordinal {rec.alpha} is not the descent value {alpha}")

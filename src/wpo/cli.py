@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 
-from .vectors import NATURAL, integer, shown
+from .vectors import NATURAL, integer, read_natural, shown
 
 
 def _integer(text: str) -> int:
@@ -27,20 +27,13 @@ def _integer(text: str) -> int:
 def cmd_type(args) -> int:
     from .ordinal import bounded_type, general_type
     d = "".join(args.descriptor.split())
-    m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?\)", d)
-    if m:
-        print(bounded_type(int(m.group(1) or 1), 1))
-        return 0
-    m = re.fullmatch(rf"D\(N(?:\^({NATURAL}))?x({NATURAL})\)", d)
-    if m:
-        print(bounded_type(int(m.group(1) or 1), int(m.group(2))))
-        return 0
-    m = re.fullmatch(rf"I\(N(?:\^({NATURAL}))?\)", d)
-    if m:
-        print(general_type(int(m.group(1) or 1)))
+    m = re.fullmatch(rf"([DI])\(N(?:\^({NATURAL}))?(?:x({NATURAL}))?\)", d)
+    if m and not (m[1] == "I" and m[3]):
+        dim, k = (read_natural(g or "1") for g in m.group(2, 3))
+        print(bounded_type(dim, k) if m[1] == "D" else general_type(dim))
         return 0
     print(
-        f"error: cannot read space descriptor {args.descriptor!r}; "
+        f"error: cannot read space descriptor {shown(args.descriptor)}; "
         'expected D(N^m), D(N^m x k), or I(N^m)',
         file=sys.stderr,
     )

@@ -32,6 +32,8 @@ from .vectors import (
     maximal_points,
     minimal_points,
     parse_points,
+    read_natural,
+    shown,
 )
 
 UNBOUNDED = float("inf")
@@ -527,7 +529,7 @@ def format_fls(s: GeneralLowerSet) -> str:
 def parse_fls(text: str, dim: int | None = None) -> GeneralLowerSet:
     text = text.strip().replace(" ", "")
     if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"bad lower set literal: {text!r}")
+        raise ValueError(f"bad lower set literal: {shown(text)}")
     body = text[1:-1]
     if not body:
         if dim is None:
@@ -556,7 +558,7 @@ def format_gls(s: GeneralLowerSet, box=format_box) -> str:
 def read_box(chunk: str):
     """The extents of the box ``[3,w,5]`` in ``chunk``, None when it is not one."""
     m = re.fullmatch(rf"\[((?:{NATURAL}|w)(?:,(?:{NATURAL}|w))*)\]", chunk)
-    return m and tuple(UNBOUNDED if c == "w" else int(c) for c in m.group(1).split(","))
+    return m and tuple(UNBOUNDED if c == "w" else read_natural(c) for c in m.group(1).split(","))
 
 
 def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
@@ -569,7 +571,7 @@ def parse_gls(text: str, dim: int | None = None) -> GeneralLowerSet:
     for chunk in text.split("u"):
         rect = read_box(chunk)
         if rect is None:
-            raise ValueError(f"bad box {chunk!r}")
+            raise ValueError(f"bad box {shown(chunk)}")
         rects.append(rect)
     if dim is None:
         dim = len(rects[0])

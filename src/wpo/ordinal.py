@@ -6,11 +6,16 @@ sum is 0.  On top of the arithmetic this module provides fundamental
 sequences, the Hardy hierarchy, step-down descents, and the two
 closed-form order types used by the rest of the package.
 
+A descent step rewrites only the last term of a normal form, in place
+on a list of terms (``_rewrite``): every stepping loop goes through it.
+
 Text form: ``w^(w+2)+w^2*3+5`` (see parse_ordinal / format_ordinal).
 """
 
 from collections import namedtuple
 from math import comb
+
+from .vectors import read_natural
 
 
 class OrdinalParseError(ValueError):
@@ -121,24 +126,10 @@ def add(a, b) -> Ordinal:
 
 def natural_sum(a, b) -> Ordinal:
     """Hessenberg sum: merge the normal forms coefficient-wise."""
-    a, b = _as_ordinal(a), _as_ordinal(b)
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (ea, ca), (eb, cb) = a[i], b[j]
-        if ea > eb:
-            out.append(a[i])
-            i += 1
-        elif ea < eb:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((ea, ca + cb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return _trusted(out)
+    acc = dict(_as_ordinal(a))
+    for e, c in _as_ordinal(b):
+        acc[e] = acc.get(e, 0) + c
+    return _trusted(sorted(acc.items(), reverse=True))
 
 
 def natural_product(a, b) -> Ordinal:
@@ -183,33 +174,48 @@ def is_limit(a: Ordinal) -> bool:
     return bool(a) and bool(a[-1][0])
 
 
+def _rewrite(terms: list, x: int) -> int:
+    """Step the nonzero normal form ``terms`` once with argument x, in
+    place, and return how many leading terms it kept: all but the last.
+
+    The last term w^e*c loses one copy, which becomes w^(e[x]) for a
+    limit e, w^b*x for e = b+1, or nothing for e = 0.
+    """
+    exp, coeff = terms.pop()
+    kept = len(terms)
+    if coeff > 1:
+        terms.append((exp, coeff - 1))
+    if exp:
+        sub = list(exp)
+        _rewrite(sub, x)
+        n = 1 if exp[-1][0] else x
+        if n:
+            terms.append((_trusted(sub), n))
+    return kept
+
+
+def step(alpha: Ordinal, x: int) -> Ordinal:
+    """The descent step of a nonzero alpha with argument x, unchecked:
+    alpha[x] at a limit, the predecessor at a successor."""
+    terms = list(alpha)
+    _rewrite(terms, x)
+    return _trusted(terms)
+
+
 def predecessor(a: Ordinal) -> Ordinal:
     if not is_successor(a):
         raise ValueError(f"{a} is not a successor")
-    exp, coeff = a[-1]
-    if coeff == 1:
-        return _trusted(a[:-1])
-    return _trusted(a[:-1] + ((exp, coeff - 1),))
+    return step(a, 0)
 
 
 def fundamental(lam: Ordinal, x: int) -> Ordinal:
-    """The x-th member of the fundamental sequence of a limit ordinal.
-
-    Rules on the last normal-form term w^e (coefficient > 1 splits off
-    one copy first):  e = b+1 gives w^b*x, and limit e recurses into
-    the exponent, w^e[x] = w^(e[x]).
-    """
+    """The x-th member of the fundamental sequence of a limit ordinal:
+    ``_rewrite`` has the rules."""
     if not is_limit(lam):
         raise NotALimitError(f"{lam} has no fundamental sequence")
     if not isinstance(x, int) or x < 0:
         raise ValueError("index must be a natural number")
-    exp, coeff = lam[-1]
-    prefix = lam[:-1] if coeff == 1 else lam[:-1] + ((exp, coeff - 1),)
-    if is_limit(exp):
-        step = ((fundamental(exp, x), 1),)
-    else:
-        step = ((predecessor(exp), x),) if x else ()
-    return _trusted(prefix + step)
+    return step(lam, x)
 
 
 class HardyOutcome(namedtuple("HardyOutcome", "steps value ordinal argument",
@@ -236,23 +242,23 @@ def hardy(alpha, x: int, budget: int = 1_000_000) -> HardyOutcome:
 
     A finite tail is taken in one jump, H_{b+n}(x) = H_b(x+n) for n
     rewrites, cut short where the budget runs out, so ``steps``, the
-    value and the residual are those of one rewrite at a time.
+    value and the residual are those of one rewrite at a time.  The
+    terms are rewritten in place: only a residual is built as an Ordinal.
     """
-    alpha = _as_ordinal(alpha)
+    terms = list(_as_ordinal(alpha))
     if x < 0 or budget < 1:
         raise ValueError("need x >= 0 and budget >= 1")
     steps = 0
-    while alpha:
+    while terms:
         if steps == budget:
-            return HardyOutcome(steps=steps, ordinal=alpha, argument=x)
-        exp, coeff = alpha[-1]
+            return HardyOutcome(steps=steps, ordinal=_trusted(terms), argument=x)
+        exp, coeff = terms[-1]
         if exp:
-            alpha = fundamental(alpha, x)
+            _rewrite(terms, x)
             n = 1
         else:
             n = min(coeff, budget - steps)
-            rest = alpha[:-1]
-            alpha = _trusted(rest if n == coeff else rest + ((ZERO, coeff - n),))
+            terms[-1:] = [(ZERO, coeff - n)] if n < coeff else []
         x += n
         steps += n
     return HardyOutcome(steps=steps, value=x)
@@ -281,19 +287,11 @@ def descend(alpha0, base: int, limit: int) -> DescentTrace:
     if alpha0 and not is_limit(alpha0):
         raise NotALimitError(f"{alpha0} is neither 0 nor a limit")
     steps = [alpha0]
-    truncated, reason = False, None
-    while True:
-        cur = steps[-1]
-        if not cur:
-            break
-        if is_successor(cur):
-            truncated, reason = True, "successor"
-            break
-        if len(steps) == limit:
-            truncated, reason = True, "step limit"
-            break
-        steps.append(fundamental(cur, base + len(steps) - 1))
-    return DescentTrace(alpha0, base, tuple(steps), truncated, reason)
+    while is_limit(steps[-1]) and len(steps) < limit:
+        steps.append(step(steps[-1], base + len(steps) - 1))
+    end = steps[-1]
+    reason = None if not end else "successor" if is_successor(end) else "step limit"
+    return DescentTrace(alpha0, base, tuple(steps), reason is not None, reason)
 
 
 def bounded_type(m: int, k: int = 1) -> Ordinal:
@@ -387,7 +385,11 @@ class _Parser:
         if self.text[start] == "0" and self.pos - start > 1:
             self.pos = start
             self.error("leading zero")
-        return int(self.text[start:self.pos])
+        try:
+            return read_natural(self.text[start:self.pos])
+        except ValueError as exc:
+            self.pos = start
+            self.error(str(exc))
 
     def term(self) -> tuple:
         if self.peek() == "w":

@@ -111,6 +111,14 @@ def shown(text: str, form=repr) -> str:
     return form(text) if len(text) <= 4300 else f"<{len(text)} characters>"
 
 
+def read_natural(digits: str) -> int:
+    """``int(digits)``, or for more digits than ``int`` reads a ValueError
+    that names them as ``shown`` does."""
+    if len(digits) > 4300:
+        raise ValueError(f"number {shown(digits)} has more than 4300 digits")
+    return int(digits)
+
+
 def format_point(p: tuple) -> str:
     return "(" + ",".join(map(str, p)) + ")"
 
@@ -124,7 +132,7 @@ def format_points(points, point=format_point) -> str:
 def read_point(chunk: str):
     """The point ``(a,b,...)`` of ``chunk``, None when it is not one."""
     m = re.fullmatch(rf"\(({NATURAL}(?:,{NATURAL})*)\)", chunk)
-    return m and tuple(map(int, m.group(1).split(",")))
+    return m and tuple(map(read_natural, m.group(1).split(",")))
 
 
 def parse_points(text: str, dim: int | None, what: str) -> list:
@@ -137,11 +145,11 @@ def parse_points(text: str, dim: int | None, what: str) -> list:
     for chunk in text.split(";"):
         p = read_point(chunk)
         if p is None:
-            raise ValueError(f"{what} {chunk!r}")
+            raise ValueError(f"{what} {shown(chunk)}")
         points.append(p)
     if dim is None:
         dim = len(points[0])
     for p in points:
         if len(p) != dim:
-            raise ValueError(f"{what} {p} for dimension {dim}")
+            raise ValueError(f"{what} {shown(str(p), str)} for dimension {dim}")
     return points

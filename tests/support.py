@@ -28,6 +28,21 @@ def ref_compare(a: Ordinal, b: Ordinal) -> int:
     return 0
 
 
+def ref_step(alpha: Ordinal, x: int) -> Ordinal:
+    """The descent step of a nonzero alpha with argument x, the whole
+    normal form rebuilt through the checked constructor: the last term
+    w^e*c loses one copy, which becomes w^(e[x]) for a limit e, w^b*x
+    for e = b+1, or nothing for e = 0.  The slow reference for
+    ordinal.step."""
+    exp, coeff = alpha.terms[-1]
+    head = alpha.terms[:-1] + (((exp, coeff - 1),) if coeff > 1 else ())
+    if not exp.terms:
+        return Ordinal(head)
+    if exp.terms[-1][0].terms:
+        return Ordinal(head + ((ref_step(exp, x), 1),))
+    return Ordinal(head + (((ref_step(exp, x), x),) if x else ()))
+
+
 def rand_exponent(rng: random.Random) -> Ordinal:
     terms = []
     for e in (2, 1, 0):

@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 from support import rand_ordinal, rand_staircase_ordinal
-from wpo import badseq
+from wpo import badseq, ordinal
 from wpo.badseq import (
     BadSequenceRecord,
     BadnessReport,
@@ -54,8 +54,10 @@ from wpo.ordinal import (
     compare,
     format_ordinal,
     fundamental,
+    hardy,
     omega_pow,
     parse_ordinal,
+    step,
 )
 
 W = UNBOUNDED
@@ -226,7 +228,7 @@ def ordinal_walk(rng, dim, length):
     for _ in range(length):
         move = rng.random()
         if move < 0.4 and alpha:
-            alpha = badseq._step(alpha, rng.randint(1, 4))
+            alpha = step(alpha, rng.randint(1, 4))
         elif move < 0.5:
             alpha = parse_ordinal(format_ordinal(alpha))
         elif move < 0.6:
@@ -292,9 +294,9 @@ class TestDeriver:
 
 class TestCursor:
     """A descent step rewrites only the last term of a normal form, so
-    ``_descent`` steps that term alone and says how many terms it kept:
-    the fold and the writer take that count instead of comparing an
-    ordinal with the one before."""
+    ``_descent`` steps its term list in place (``ordinal._rewrite``) and
+    says how many terms it kept: the fold and the writer take that count
+    instead of comparing an ordinal with the one before."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_last_term_step_is_the_step(self, dim):
@@ -305,20 +307,33 @@ class TestCursor:
         for alpha in filter(None, alphas):
             head, last = alpha.terms[:-1], Ordinal(alpha.terms[-1:])
             for x in range(6):
-                step = badseq._step(alpha, x)
-                assert Ordinal(head + badseq._step(last, x).terms) == step, (alpha, x)
-                assert common_prefix(alpha, step) == len(head)
+                stepped = step(alpha, x)
+                assert Ordinal(head + step(last, x).terms) == stepped, (alpha, x)
+                assert common_prefix(alpha, stepped) == len(head)
 
     @pytest.mark.parametrize("dim,n", [(1, 10), (2, 300), (3, 120), (4, 60), (5, 40)])
     def test_descent_says_what_each_step_kept(self, dim, n):
         steps = list(islice(badseq._descent(dim, 2), n))
         alpha = descent_start(dim)
         for rec, kept in steps:
-            assert rec.alpha == badseq._step(alpha, 2 + rec.index - 1)
+            assert rec.alpha == step(alpha, 2 + rec.index - 1)
             assert kept == common_prefix(alpha, rec.alpha) == len(alpha) - 1
             alpha = rec.alpha
         assert [line for _, line in badseq._record_lines(steps)] == \
             [record_text(r) for r, _ in steps]
+
+    @pytest.mark.parametrize("dim,n", [(1, 10), (2, 300), (3, 300), (4, 200), (5, 150)])
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_hardy_residual_is_the_record(self, dim, n, base):
+        # the Cichon-Hardy identity step by step: i rewrites of the
+        # start leave record i's ordinal, with argument base+i
+        for rec, _ in islice(badseq._descent(dim, base), n):
+            out = hardy(descent_start(dim), base, budget=rec.index)
+            assert out.steps == rec.index
+            if rec.alpha:
+                assert (out.ordinal, out.argument) == (rec.alpha, base + rec.index)
+            else:
+                assert out.value == base + rec.index
 
     @pytest.mark.parametrize("dim,n", [(1, 10), (2, 60), (3, 40), (4, 20)])
     def test_common_prefix_only_where_the_origin_is_unknown(self, dim, n, tmp_path,
@@ -835,6 +850,8 @@ def tampered_files(rng, dim, lines):
     yield f"record {k + 1} ordinal with spaces around each '+'", with_cell(k, 1, text)
     # an index whose step argument has too many digits for str()
     yield f"record {k + 1} index of 4300 digits", with_cell(k, 0, "9" * 4300)
+    # a box extent of more digits than int() reads
+    yield f"record {k + 1} box of 5000 digits", with_cell(k, 2, f"[{'9' * 5000}]")
     # another base: a regenerated run whose every line differs, or a
     # base that no run takes, too small, of too many digits, or of more
     # than int() reads
@@ -866,6 +883,7 @@ VERDICTS = {
     "record N with a malformed box after its own": 2,
     "record N with a malformed generator after its own": 2,
     "record N with an empty box of the wrong arity first": 2,
+    "record N box of N digits": 2,
 }
 
 
@@ -921,6 +939,24 @@ class TestAuditFile:
                     pinned.add(name)
         assert kinds == {"error", True, False}
         assert pinned == set(VERDICTS)
+
+    @pytest.mark.parametrize("column,text,at", [
+        (1, "w*" + "9" * 5000, " (at position 2)"), (2, f"[{'9' * 5000}]", ""),
+        (5, f"({'9' * 5000})", "")])
+    def test_number_past_4300_digits_named_by_length(self, tmp_path, capsys, column, text, at):
+        lines = run_lines(generate(1, 2, 3))
+        cols = lines[8].split("|")
+        cols[column] = text
+        lines[8] = "|".join(cols)
+        path = tmp_path / "run.rec"
+        path.write_text("\n".join(lines) + "\n")
+        want = f"line 9: number <5000 characters> has more than 4300 digits{at}"
+        for read in (read_run, audit_file):
+            with pytest.raises(ValueError) as exc:
+                read(str(path))
+            assert str(exc.value) == want
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_header_after_a_record_refused(self, dim, tmp_path, capsys):
@@ -1020,16 +1056,28 @@ class TestAuditFile:
                 return real(*args)
             monkeypatch.setattr(owner, name, call)
 
-        for name in ("fundamental", "predecessor", "descent_start"):
-            counted(badseq, name)
+        counted(badseq, "descent_start")
         counted(MonomialIdeal, "degree")
+        # the one step rule, counted where a caller enters it: its
+        # recursion into an exponent is part of the same step
+        real, depth = ordinal._rewrite, [0]
+
+        def rewrite(terms, x):
+            calls["_rewrite"] += not depth[0]
+            depth[0] += 1
+            try:
+                return real(terms, x)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(ordinal, "_rewrite", rewrite)
+        monkeypatch.setattr(badseq, "_rewrite", rewrite)
         run, problems = audit_file(str(path))
         assert problems == [] and run == read_run(str(path))
         # the regeneration's, which the audit takes as its own; each
-        # descent_start is one predecessor call
+        # descent_start is one step, its predecessor
         n = len(run.records)
         assert calls["degree"] == n
-        assert calls["fundamental"] + calls["predecessor"] == n + calls["descent_start"]
+        assert calls["_rewrite"] == n + calls["descent_start"]
 
 
 class TestSymbolicBound:

@@ -183,6 +183,45 @@ def test_integer_options_read_ascii_integers(capsys, option, argv, text):
         assert err.endswith(f"error: argument {option}: invalid integer value: {shown}\n")
 
 
+NINES = "9" * 5000
+ONES = ",".join(["1"] * 3001)  # a point or box of 6003 characters
+NUMBER_TOO_LONG = "number <5000 characters> has more than 4300 digits"
+# A number past the 4300 digits int() reads, and a refused text past
+# 4300 characters, are named by their length; shorter ones as before.
+LONG_TEXTS = [
+    (["ord", f"{{({NINES})}}"], NUMBER_TOO_LONG),
+    (["ideal", f"[{NINES},1]"], NUMBER_TOO_LONG),
+    (["ideal", "--gens", f"({NINES},1)"], NUMBER_TOO_LONG),
+    (["hardy", f"w*{NINES}", "2"], NUMBER_TOO_LONG + " (at position 2)"),
+    (["hardy", f"w^(w+{NINES})", "2"], NUMBER_TOO_LONG + " (at position 5)"),
+    (["type", f"D(N^{NINES})"], NUMBER_TOO_LONG),
+    (["type", "D" * 5000], "cannot read space descriptor <5000 characters>; "
+                           "expected D(N^m), D(N^m x k), or I(N^m)"),
+    (["ideal", "--gens", f"({ONES})x"], "bad exponent vector <6004 characters>"),
+    (["ideal", "--gens", f"({ONES})", "--dim", "2"],
+     "bad exponent vector <9003 characters> for dimension 2"),
+    (["ord", f"{{({ONES})x}}"], "bad generator <6004 characters>"),
+    (["ideal", f"[{ONES}]x"], "bad box <6004 characters>"),
+    (["ord", "x" * 5000], "bad lower set literal: <5000 characters>"),
+    (["type", "D" * 4300], f"cannot read space descriptor {'D' * 4300!r}; "
+                           "expected D(N^m), D(N^m x k), or I(N^m)"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LONG_TEXTS,
+                         ids=[f"{argv[0]} {message[:24]}" for argv, message in LONG_TEXTS])
+def test_long_texts_named_by_length(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_numbers_of_4300_digits_still_read(capsys):
+    n = "9" * 4300
+    code, out, _ = run_cli(capsys, "ideal", "--gens", f"({n},1)")
+    assert code == 0 and out == f"[{n},w]u[w,1]\n"
+    code, out, _ = run_cli(capsys, "hardy", f"w*{n}", "2", "--budget", "1")
+    assert code == 0 and out == f"residual: H_{{w*{n[:-1]}8+2}}(3) after 1 steps (budget exhausted)\n"
+
+
 def test_negative_integers_still_read(capsys):
     code, out, _ = run_cli(capsys, "oracle", "inclusion", "--seed", "-3", "--pairs", "5")
     assert code == 0 and out.endswith("seed: -3\n")
@@ -802,14 +841,16 @@ def _points(sep, coordinate, fmt):
 # guards, which refuse at once, see a huge one.  "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO.
 SMALL = st.sampled_from(["0", "1", "2"])
 BAD_NUMBER = st.sampled_from(
-    ["-1", "-0", "02", "+1", "1_0", " 1", "\u0663", "\u00b2", "", "w", "^", "[1]", "9" * 5000])
+    ["-1", "-0", "02", "+1", "1_0", " 1", "\u0663", "\u00b2", "", "w", "^", "[1]", NINES])
 NUMBER = (SMALL, BAD_NUMBER)
 ORDINAL = (
     st.randoms(use_true_random=False).map(lambda rng: format_ordinal(rand_ordinal(rng))),
-    _tokens("w", "^", "(", ")", "+", "*", "0", "1", "2", "02", "\u0663", "[", "]", " "),
+    _tokens("w", "^", "(", ")", "+", "*", "0", "1", "2", "02", "\u0663", "[", "]", " ")
+    | st.sampled_from([f"w*{NINES}", f"w^{NINES}", f"w^(w+{NINES})"]),
 )
 BAD_SET = _tokens("{", "}", "(", ")", "[", "]", ",", ";", "u", "w", "0", "1", "02", "\u0663",
-                  "-", "empty", most=8)
+                  "-", "empty", most=8) | st.sampled_from(
+    [f"{{({NINES})}}", f"[{NINES},1]", f"({NINES},1)", f"({ONES})x", f"[{ONES}]x", "x" * 5000])
 GENERATORS = (_points(";", SMALL, "({})"), BAD_SET)
 FINITE_SET = (st.just("{}") | GENERATORS[0].map("{{{}}}".format), BAD_SET)
 LOWER_SET = (st.just("empty") | _points("u", st.sampled_from(["1", "2", "w"]), "[{}]"), BAD_SET)
@@ -820,7 +861,8 @@ BOX = (_joined("x", st.sampled_from(["1", "2", "3"])),
 DESCRIPTOR = (
     st.builds("D(N^{})".format, SMALL) | st.builds("D(N^{}x{})".format, SMALL, SMALL)
     | st.builds("I(N^{})".format, SMALL),
-    _tokens("D", "I", "N", "(", ")", "^", "x", " ", "0", "1", "02", "\u0663", "\u00b2"),
+    _tokens("D", "I", "N", "(", ")", "^", "x", " ", "0", "1", "02", "\u0663", "\u00b2")
+    | st.sampled_from(["D" * 5000, f"D(N^{NINES})", f"I(N^{NINES})"]),
 )
 SUITE = (st.sampled_from(["monotone", "phi", "inclusion", "ideal", "spec"]),
          st.sampled_from(["", "Monotone", "phi ", "w"]))

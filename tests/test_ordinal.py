@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import cmp_to_key
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import rand_limit, rand_ordinal, ref_compare
+from support import rand_limit, rand_ordinal, ref_compare, ref_step
 from wpo.badseq import descent_start, generate
 from wpo.oracles import naive_hardy
 from wpo.ordinal import (
@@ -17,6 +18,7 @@ from wpo.ordinal import (
     Ordinal,
     OrdinalParseError,
     ZERO,
+    _rewrite,
     add,
     bounded_type,
     compare,
@@ -34,6 +36,7 @@ from wpo.ordinal import (
     parse_ordinal,
     pow2,
     predecessor,
+    step,
 )
 
 
@@ -409,6 +412,23 @@ class TestFundamental:
             x = rng.randint(0, 5)
             assert compare(fundamental(lam, x), fundamental(lam, x + 1)) <= 0
 
+    def test_step_matches_whole_rebuild(self):
+        # fundamental at a limit, predecessor at a successor, and the
+        # normal form rebuilt whole through the checked constructor
+        rng = random.Random(9)
+        for _ in range(2000):
+            alpha = add(rand_ordinal(rng, 5), from_int(rng.choice([0, 0, 1, 3])))
+            for x in (0, 1, rng.randint(2, 9)) if alpha else ():
+                want = ref_step(alpha, x)
+                assert step(alpha, x) == want, (alpha, x)
+                terms = list(alpha)
+                assert _rewrite(terms, x) == len(alpha) - 1
+                assert revalidated(Ordinal(terms)) == want
+                if is_limit(alpha):
+                    assert fundamental(alpha, x) == want
+                else:
+                    assert predecessor(alpha) == want
+
 
 class TestHardy:
     @pytest.mark.parametrize("text,x,value", HARDY_VALUES)
@@ -437,6 +457,14 @@ class TestHardy:
         rng = random.Random(seed)
         alpha = add(rand_ordinal(rng), from_int(rng.randint(0, 50)))
         assert hardy(alpha, x, budget) == naive_hardy(alpha, x, budget)
+
+    def test_long_residual_matches_naive_stepper(self):
+        # the dim-3 start grows by about a term a step; the digest is of
+        # naive_hardy's residual text, computed once
+        out = hardy(predecessor(general_type(3)), 2, budget=30000)
+        assert (out.steps, out.argument, len(out.ordinal)) == (30000, 30002, 29986)
+        assert hashlib.sha256(str(out.ordinal).encode()).hexdigest() == \
+            "3b4e7dfe0211b6253d6e01d5df0179191d744d08e01b9da92184f328b24136ca"
 
     def test_residual_resumes_to_same_value(self):
         # splitting the budget must not change the result
