@@ -277,15 +277,21 @@ def _check_base(base: int) -> None:
                          f"{MAX_BASE_DIGITS} a run takes")
 
 
+def _steps(dim: int, base: int, limit: int) -> list:
+    """The first ``limit`` steps of ``_descent(dim, base)``, once the
+    base and the limit are checked."""
+    if base < 1 or limit < 0:
+        raise ValueError("base must be >= 1 and limit >= 0")
+    _check_base(base)
+    return list(islice(_descent(dim, base), limit))
+
+
 def generate(dim: int, base: int, limit: int) -> DescentRun:
     """Descend ``limit`` steps from descent_start(dim), recording the
     staircase lower set, both size gauges, and the complement ideal of
     every ordinal reached."""
-    if base < 1 or limit < 0:
-        raise ValueError("base must be >= 1 and limit >= 0")
-    _check_base(base)
-    records = islice(_descent(dim, base), limit)
-    return DescentRun(dim, base, descent_start(dim), tuple(r for r, _ in records))
+    records = tuple(r for r, _ in _steps(dim, base, limit))
+    return DescentRun(dim, base, descent_start(dim), records)
 
 
 def symbolic_length_bound(dim: int, base: int) -> str:
@@ -404,17 +410,31 @@ _COLUMNS = "index|ordinal|lowerset|norm|extent|ideal|degree|bound"
 
 
 def run_lines(run: DescentRun) -> list:
+    """The record file of a run of any origin, read or tampered ones
+    too: each ordinal is compared with the one before for the terms it
+    keeps."""
     alphas = [r.alpha for r in run.records]
     kept = map(common_prefix, [ZERO] + alphas, alphas)
+    return _file_lines(run.dim, run.base, run.start, list(zip(run.records, kept)))
+
+
+def descent_lines(dim: int, base: int, limit: int) -> list:
+    """``run_lines(generate(dim, base, limit))``, formatted from the
+    kept counts that the descent yields."""
+    steps = _steps(dim, base, limit)
+    return _file_lines(dim, base, descent_start(dim), steps)
+
+
+def _file_lines(dim: int, base: int, start: Ordinal, steps: list) -> list:
     return [
         "# descent run",
-        f"# dim: {run.dim}",
-        f"# base: {run.base}",
-        f"# start: {format_ordinal(run.start)}",
-        f"# records: {len(run.records)}",
-        f"# length-bound: {symbolic_length_bound(run.dim, run.base)}",
+        f"# dim: {dim}",
+        f"# base: {base}",
+        f"# start: {format_ordinal(start)}",
+        f"# records: {len(steps)}",
+        f"# length-bound: {symbolic_length_bound(dim, base)}",
         f"# columns: {_COLUMNS}",
-    ] + [line for _, line in _record_lines(zip(run.records, kept))]
+    ] + [line for _, line in _record_lines(steps)]
 
 
 def _record_lines(steps):
@@ -442,10 +462,14 @@ def _record_lines(steps):
 
 
 def write_run(run: DescentRun, path: str) -> None:
-    """Write the record file atomically: into a temporary file beside
-    ``path``, which then replaces it.  A failed write leaves an older
-    file at ``path`` whole and no temporary file behind."""
-    text = "\n".join(run_lines(run)) + "\n"
+    write_lines(run_lines(run), path)
+
+
+def write_lines(lines, path: str) -> None:
+    """Write the record file of ``lines`` atomically: into a temporary
+    file beside ``path``, which then replaces it.  A failed write leaves
+    an older file at ``path`` whole and no temporary file behind."""
+    text = "\n".join(lines) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:

@@ -80,11 +80,11 @@ def cmd_descend(args) -> int:
 
 def cmd_badseq(args) -> int:
     from . import badseq as bs
-    run = bs.generate(args.m, args.base, args.count)
+    lines = bs.descent_lines(args.m, args.base, args.count)
     if args.out:
-        bs.write_run(run, args.out)
+        bs.write_lines(lines, args.out)
     else:
-        print("\n".join(bs.run_lines(run)))
+        print("\n".join(lines))
     return 0
 
 

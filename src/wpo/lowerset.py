@@ -21,9 +21,10 @@ is complement_points negated.  monomial.py wraps those points in ideals.
 
 import math
 import re
+from bisect import bisect_left, insort
 from collections import namedtuple
 from itertools import combinations, product
-from operator import ge, lt
+from operator import ge
 
 from .vectors import (
     NATURAL,
@@ -216,40 +217,59 @@ def complement_points(rects, dim: int, outside=None) -> list:
     """Minimal points outside the union of ``rects``, sorted.  It serves
     both directions of the complement: see ``from_complement``.
 
-    ``outside`` holds the minimal points outside some earlier boxes
-    (default: the origin, outside no box) and the result continues from
-    it.  A point outside box r stays, and stays minimal: no point left
-    lies below it.  A point p inside r leaves, and each finite extent e
-    of r, in coordinate t, raises it to q = p with e at t.  A point that
-    stays and lies below q holds e at t, since p is inside r in every
-    other coordinate, so q is checked only against those.  A box
-    unbounded everywhere leaves nothing outside.
+    ``outside`` holds the minimal points outside some earlier boxes, a
+    sorted antichain as this function returns (default: the origin,
+    outside no box), and the result continues from it.  A box r changes
+    only the points it covers, so it costs about what it covers.  A
+    point outside r stays, and stays minimal: no point left lies below
+    it.  A point p inside r has p[0] < r[0], so it lies in the prefix
+    of the points that sort before ``r[:1]`` (all of them when r is
+    ``()``); the rest stay as they are, and a box that covers no point
+    leaves the list unchanged.  p leaves, and each finite extent e of r,
+    in coordinate t, raises it to q = p with e at t.  A box unbounded
+    everywhere leaves nothing outside.
+
+    A point that stays and lies below q holds e at t, since p is inside
+    r in every other coordinate, so q is checked only against that
+    level.  For t = 0 the level is the points just after the prefix that
+    hold e first; for t > 0 it lies in the prefix, for a point below q
+    holds at most p[0] < r[0] first.  Points raised on different axes
+    never compare: q raised at t holds e at t, where q' raised at t'
+    from p' holds p'[t] < e.  So ``minimal_points`` drops the repeated
+    and dominated raised points one axis at a time, and only where two
+    or more are left; one point inside r needs no pass at all.  The new
+    points go into the sorted list one by one, by ``insort``.
 
     The result is a sorted antichain when ``outside`` is: the kept
     points stay an antichain; a raised point q lies above no kept point
-    (the ``level`` check) and below none, since q lies above its p and p
-    below no other old point; ``minimal_points`` drops the repeated and
-    dominated raised points, and ``sorted`` orders the rest.  It is
-    canonical, as ``MonomialIdeal`` accepts it, when ``_check_boxes``
-    also accepts every box, for then every coordinate is an old point's
-    or a finite extent.  The staircase's extents are all such
-    (``badseq._staircase``), so ``badseq._IdealFold`` takes the result
-    as built, and ``from_complement`` takes it so too.
+    (the level check) and below none, since q lies above its p and p
+    below no other old point.  It is canonical, as ``MonomialIdeal``
+    accepts it, when ``_check_boxes`` also accepts every box, for then
+    every coordinate is an old point's or a finite extent.  The
+    staircase's extents are all such (``badseq._staircase``), so
+    ``badseq._IdealFold`` takes the result as built, and
+    ``from_complement`` takes it so too.
     """
     points = [(0,) * dim] if outside is None else list(outside)
     for r in rects:
+        end = bisect_left(points, r[:1]) if r else len(points)
         kept, inside = [], []
-        for p in points:
-            (inside if all(map(lt, p, r)) else kept).append(p)
-        raised = []
+        for p in points[:end]:
+            (kept if any(map(ge, p, r)) else inside).append(p)
+        if not inside:
+            continue
+        new = []
         for t, e in enumerate(r):
-            if e != UNBOUNDED and inside:
-                level = [g for g in kept if g[t] == e]
-                for p in inside:
-                    q = p[:t] + (e,) + p[t + 1:]
-                    if not any(all(map(ge, q, g)) for g in level):
-                        raised.append(q)
-        points = sorted(kept + minimal_points(raised, dim))
+            if e != UNBOUNDED:
+                raised = [p[:t] + (e,) + p[t + 1:] for p in inside]
+                level = (points[end:bisect_left(points, (e + 1,), end)] if t == 0
+                         else [g for g in kept if g[t] == e])
+                if level:
+                    raised = [q for q in raised if not any(all(map(ge, q, g)) for g in level)]
+                new += minimal_points(raised, dim) if len(raised) > 1 else raised
+        points[:end] = kept
+        for q in new:
+            insort(points, q)
     return points
 
 

@@ -16,6 +16,7 @@ from wpo.badseq import (
     DescentRun,
     audit_file,
     audit_run,
+    descent_lines,
     descent_start,
     generate,
     lower_set_of,
@@ -346,6 +347,7 @@ class TestCursor:
             return real(xs, ys)
         monkeypatch.setattr(badseq, "common_prefix", counted)
         run = generate(dim, 2, n)
+        descent_lines(dim, 2, n)
         assert calls == []
         path = tmp_path / "run.rec"
         write_run(run, str(path))
@@ -428,9 +430,11 @@ class TestGenerate:
         # sha256 of the `wpo badseq -m dim -K base -n n` output: dims 2
         # and 3 taken from the shapes the staircase rule replaced, dims
         # 1, 4 and 5 from the writer before the descent said which terms
-        # each step kept
-        text = "\n".join(run_lines(generate(dim, base, n))) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # each step kept.  The command formats the descent's own kept
+        # counts; run_lines, for runs of any origin, finds them again.
+        for lines in (descent_lines(dim, base, n), run_lines(generate(dim, base, n))):
+            text = "\n".join(lines) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("base", range(1, 6))
     def test_one_dimension_counts_down(self, base):

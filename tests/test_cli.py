@@ -17,7 +17,7 @@ from support import rand_ordinal
 from wpo import badseq, linearize, oracles
 from wpo.badseq import DescentRun, generate, write_run
 from wpo.cli import COMMANDS, build_parser, main
-from wpo.lowerset import GeneralLowerSet, closure
+from wpo.lowerset import GeneralLowerSet, closure, complement_points
 from wpo.monomial import MonomialIdeal
 from wpo.ordinal import MAX_GENERAL_DIM, MAX_NESTING, format_ordinal
 
@@ -246,6 +246,29 @@ def test_dim_at_the_bounds(capsys):
     assert code == 0 and out.splitlines()[0] == "gens: ()"
 
 
+def test_unit_generators_at_the_dim_bound(capsys):
+    # three unit generators leave the points that hold 0 in their first
+    # three coordinates
+    m = MAX_GENERAL_DIM
+    gens = ";".join("(" + ",".join("1" if i == t else "0" for i in range(m)) + ")"
+                    for t in range(3))
+    began = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ideal", "--gens", gens, "--dim", str(m))
+    assert time.perf_counter() - began < 2
+    assert code == 0 and out == "[" + ",".join(["1"] * 3 + ["w"] * (m - 3)) + "]\n"
+
+
+def test_one_box_after_a_slab_per_axis_at_the_dim_bound():
+    # the slabs leave the one point (1,...,1) outside; a box of 2s
+    # raises it on every axis, one point an axis
+    m = MAX_GENERAL_DIM
+    slabs = [tuple(1 if i == t else float("inf") for i in range(m)) for t in range(m)]
+    began = time.perf_counter()
+    points = complement_points(slabs + [(2,) * m], m)
+    assert time.perf_counter() - began < 2
+    assert points == sorted(tuple(2 if i == t else 1 for i in range(m)) for t in range(m))
+
+
 class TestHardyCommand:
     def test_small_values(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "w", "3")
@@ -338,6 +361,15 @@ class TestBadseqVerify:
         lines = out.splitlines()
         assert "# dim: 2" in lines
         assert sum(1 for l in lines if not l.startswith("#")) == 3
+
+    @pytest.mark.parametrize("m,n", [(1, 10), (2, 30), (3, 20)])
+    def test_stdout_and_file_hold_the_generated_run(self, capsys, tmp_path, m, n):
+        # -m 1 -K 3 reaches 0 at its fourth record, before n
+        path = tmp_path / "run.rec"
+        code, out, _ = run_cli(capsys, "badseq", "-m", str(m), "-K", "3", "-n", str(n))
+        assert code == 0
+        run_cli(capsys, "badseq", "-m", str(m), "-K", "3", "-n", str(n), "-o", str(path))
+        assert out == path.read_text() == "\n".join(badseq.run_lines(generate(m, 3, n))) + "\n"
 
     def test_generate_then_verify(self, capsys, tmp_path):
         path = str(tmp_path / "run.rec")

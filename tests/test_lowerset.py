@@ -289,15 +289,25 @@ class TestProjection:
             return outside
 
         rng = random.Random(47)
-        for _ in range(600):
-            dim = rng.randint(0, 4)
+        for _ in range(1000):
+            dim = rng.randint(0, 5)
             rects = [tuple(W if rng.random() < 0.25 else rng.randint(0, 7) for _ in range(dim))
-                     for _ in range(rng.randint(0, 8))]
+                     for _ in range(rng.randint(0, 12))]
             k = rng.randint(0, len(rects))
             origin = [(0,) * dim]
             outside = raise_all(rects[:k], dim, origin)
             assert complement_points(rects[:k], dim) == outside
             assert complement_points(rects[k:], dim, outside) == raise_all(rects, dim, origin)
+            # from_complement's direction: negated points from far below
+            # everything, so coordinates -w and 0 come up too
+            negated = [tuple(-rng.randint(0, 4) for _ in range(dim))
+                       for _ in range(rng.randint(0, 12))]
+            origin = [(-W,) * dim]
+            assert complement_points(negated, dim, origin) == raise_all(negated, dim, origin)
+            # the box of the least coordinates covers no point
+            if dim and outside:
+                low = tuple(min(p[t] for p in outside) for t in range(dim))
+                assert complement_points([low], dim, outside) == outside
 
     def test_from_complement_against_grid(self):
         # a point lies in the set iff it dominates none of the points; a
