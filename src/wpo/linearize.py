@@ -6,10 +6,12 @@ in the lexicographic well-order of N^(m-1)) times v_m; the rank is
 the natural sum of the contributions plus one, and the empty set ranks
 0.  The map is monotone for inclusion but deliberately not injective,
 which check_monotone witnesses by exhausting every pair inside a
-finite grid.
+finite grid, ranking through a memo of ``contribution`` made fresh
+for each call, so each grid point's term is worked out once a call.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import product
 
 from .lowerset import GeneralLowerSet, enumerate_fls, generators
@@ -29,8 +31,14 @@ class RankAssignment(namedtuple("RankAssignment", "lower_set value contributions
     __slots__ = ()  # contributions: (generator, ordinal term) pairs, zero terms dropped
 
 
-def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
-    """The rank of a bounded set; UnboundedError on a w extent.
+def contribution(g) -> tuple:
+    """(g, w^lex(g[:-1]) * g[-1]) for a generator g with g[-1] >= 1."""
+    return g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))
+
+
+def ordinal_rank(f: GeneralLowerSet, contribution=contribution) -> RankAssignment:
+    """The rank of a bounded set; UnboundedError on a w extent.  Each
+    generator's pair comes from ``contribution``, which may be a memo.
 
     The generators are an antichain, so no two share their first m-1
     coordinates: the exponents of the contributions are distinct and,
@@ -42,8 +50,7 @@ def ordinal_rank(f: GeneralLowerSet) -> RankAssignment:
     gens = generators(f)
     if not gens:
         return RankAssignment(f, ZERO, ())
-    # one term each, coefficient >= 1
-    contribs = tuple([(g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))) for g in gens if g[-1]])
+    contribs = tuple([contribution(g) for g in gens if g[-1]])
     total = _trusted([term[0] for _, term in reversed(contribs)])
     return RankAssignment(f, add(total, ONE), contribs)
 
@@ -63,7 +70,9 @@ def check_monotone(box) -> MonotoneReport:
     a violation is one where sets[i] <= sets[j] but rank i > rank j;
     they are reported in row-major order.  Inclusion is decided on
     membership, independently of the rank construction: a bounded set
-    lies inside another exactly when each of its generators does.
+    lies inside another exactly when each of its generators does.  The
+    ranks share one ``cache(contribution)``, built on each call and
+    dropped after it: one term per grid point, none kept across calls.
 
     ``within[r]`` has bit j set when sets[j] holds the corner r-1 of
     grid box r.  One sweep from the top of the grid fills it: a grid
@@ -74,7 +83,8 @@ def check_monotone(box) -> MonotoneReport:
     """
     box = tuple(box)
     sets = list(enumerate_fls(box))
-    ranks = [ordinal_rank(f).value for f in sets]
+    memo = cache(contribution)
+    ranks = [ordinal_rank(f, memo).value for f in sets]
     n = len(sets)
     within = {}
     for j, s in enumerate(sets):

@@ -23,8 +23,8 @@ import math
 import re
 from bisect import bisect_left, insort
 from collections import namedtuple
-from itertools import combinations, product
-from operator import ge
+from itertools import accumulate, combinations, product
+from operator import ge, mul
 
 from .vectors import (
     NATURAL,
@@ -438,16 +438,18 @@ def enumerate_fls(box):
     ENUMERATION_GUARD, at once on a volume of MAX_LOWER_SETS or more,
     and once more than MAX_LOWER_SETS sets have turned up.
 
-    Each set is built from ``tops`` without a check, as its canonical
-    boxes: p+1 for each point p of tops, sorted.  ``chosen`` is a lower
+    ``chosen``, ``tops`` and ``preds[k]`` hold indices into the sorted
+    ``points``, so index order is lexicographic order.  Each set is built
+    from ``tops`` without a check, as its canonical boxes: ``boxes[k]``,
+    point k plus 1, for each k of tops, sorted.  ``chosen`` is a lower
     set, since a point is taken only after its immediate predecessors,
     and ``tops`` stays exactly its maximal points.  A point p is taken
     after every chosen point in lexicographic order, a linear extension
     of the product order, so no chosen point lies above p and p is
     maximal.  A maximal point q < p is one of p's immediate
     predecessors: q lies at or below some p - e_t, which is chosen, and
-    q < p - e_t would make q not maximal.  So taking p removes from
-    ``tops`` exactly the points of ``preds[k]`` in it and adds p.
+    q < p - e_t would make q not maximal.  So taking point k removes
+    from ``tops`` exactly the indices of ``preds[k]`` in it and adds k.
     """
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
@@ -461,14 +463,13 @@ def enumerate_fls(box):
     dim = len(box)
     row = next((e for e in reversed(box) if e > 1), 1)
     points = sorted(product(*[range(e) for e in box]))
-
-    preds = [
-        [p[:i] + (p[i] - 1,) + p[i + 1:] for i in range(dim) if p[i] > 0]
-        for p in points
-    ]
+    # point k less e_t is point k - strides[t], the volume after axis t
+    strides = list(accumulate(reversed(box[1:]), mul, initial=1))[::-1]
+    preds = [[k - s for s, c in zip(strides, p) if c] for k, p in enumerate(points)]
+    boxes = [tuple([c + 1 for c in p]) for p in points]
 
     chosen: set = set()
-    tops: frozenset = frozenset()  # the maximal chosen points
+    tops: frozenset = frozenset()  # the indices of the maximal chosen points
     found = 0
     # explicit stack, deepest action last: ("visit", k) decides point k
     # with it left out first, which ends its row; ("add", k) and
@@ -479,19 +480,18 @@ def enumerate_fls(box):
     while stack:
         action, k, saved = stack.pop()
         if action == "add":
-            chosen.add(points[k])
-            tops = tops.difference(preds[k]) | {points[k]}
+            chosen.add(k)
+            tops = tops.difference(preds[k]) | {k}
         elif action == "drop":
-            chosen.remove(points[k])
+            chosen.remove(k)
             tops = saved
         elif k == len(points):
             found += 1
             if found > MAX_LOWER_SETS:
                 raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
-            rects = tuple([tuple(c + 1 for c in p) for p in sorted(tops)])
-            yield _trusted(GeneralLowerSet, dim, rects)
+            yield _trusted(GeneralLowerSet, dim, tuple([boxes[i] for i in sorted(tops)]))
         else:
-            if all(q in chosen for q in preds[k]):
+            if chosen.issuperset(preds[k]):
                 stack += [("drop", k, tops), ("visit", k + 1, None), ("add", k, None)]
             stack.append(("visit", (k // row + 1) * row, None))
 

@@ -841,7 +841,7 @@ class TestOracleCommand:
         a1, a3 = closure([(0, 0)], 2), closure([(0, 2)], 2)
         swap = {a1: a3, a3: a1}
         real = linearize.ordinal_rank
-        monkeypatch.setattr(linearize, "ordinal_rank", lambda f: real(swap.get(f, f)))
+        monkeypatch.setattr(linearize, "ordinal_rank", lambda f, *memo: real(swap.get(f, f), *memo))
         code, out, _ = run_cli(capsys, "oracle", "monotone", "--box", "1x3")
         assert code == 1
         assert out.splitlines() == [

@@ -1,11 +1,14 @@
+import math
 import random
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpo import linearize
-from wpo.linearize import MonotoneReport, RankAssignment, check_monotone, lex_ordinal, ordinal_rank
+from wpo.linearize import (MonotoneReport, RankAssignment, check_monotone, contribution, lex_ordinal,
+                           ordinal_rank)
 from wpo.lowerset import (UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls,
                           generators, inclusion_masks)
 from wpo.ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum, parse_ordinal
@@ -82,6 +85,19 @@ class TestOrdinalRank:
         for f in sets:
             assert ordinal_rank(f) == folded_rank(f)
 
+    def test_memo_matches_unmemoised(self):
+        """Every set of every box of volume <= 12 in dims 1-4, ranked
+        through one memo shared by all the boxes, so that a memo holding
+        the terms of other dimensions is covered too."""
+        memo = cache(contribution)
+        boxes = [b for dim in (1, 2, 3, 4) for b in product(range(1, 13), repeat=dim)
+                 if math.prod(b) <= 12]
+        assert len(boxes) == 254
+        for box in boxes:
+            for f in enumerate_fls(box):
+                # the set, its value and its contributions all equal
+                assert ordinal_rank(f, memo) == ordinal_rank(f)
+
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
             ordinal_rank(closure([()], 0))
@@ -106,13 +122,26 @@ class TestMonotone:
         rep = check_monotone((2, 2, 2))
         assert rep.sets_counted == 20 and rep.ok
 
+    def test_one_term_per_grid_point_each_call(self, monkeypatch):
+        # the memo computes each generator's term once, and lives for one
+        # call only: the second call works the terms out again
+        calls = []
+        real = linearize.lex_ordinal
+        monkeypatch.setattr(linearize, "lex_ordinal", lambda v: calls.append(v) or real(v))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert check_monotone((2, 3, 4)).ok
+            counts.append(len(calls))
+        assert 0 < counts[0] <= 2 * 3 * 4 and counts[1] == counts[0]
+
     def test_reversed_pair_reported(self, monkeypatch):
         # the chain {} < a1 < a2 < a3 of the 1x3 box, with the ranks of
         # a1 and a3 swapped: every included pair among the three reverses
         a1, a2, a3 = (closure([(0, k)], 2) for k in range(3))
         swap = {a1: a3, a3: a1}
         real = linearize.ordinal_rank
-        monkeypatch.setattr(linearize, "ordinal_rank", lambda f: real(swap.get(f, f)))
+        monkeypatch.setattr(linearize, "ordinal_rank", lambda f, *memo: real(swap.get(f, f), *memo))
         rep = check_monotone((1, 3))
         assert rep.sets_counted == 4 and rep.pairs_checked == 16
         assert rep.violations == (
@@ -137,7 +166,8 @@ class TestMonotone:
         drawn = {f: rng.choice(pool) for f in sets}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linearize, "enumerate_fls", lambda b: iter(sets))
-            mp.setattr(linearize, "ordinal_rank", lambda f: RankAssignment(f, drawn[f], ()))
+            mp.setattr(linearize, "ordinal_rank",
+                       lambda f, *memo: RankAssignment(f, drawn[f], ()))
             rep = check_monotone(box)
         masks = inclusion_masks(sets)
         ranks = [drawn[f] for f in sets]

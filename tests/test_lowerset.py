@@ -1,7 +1,7 @@
 import ast
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -534,6 +534,18 @@ class TestEnumeration:
         for s in sets:
             assert GeneralLowerSet(len(box), s.rects) == s
             assert closure(generators(s), len(box)) == s
+
+    @pytest.mark.parametrize("box,count", [((2, 3, 4), 490), ((3, 3, 3), 980), ((2, 2, 2, 2), 168)])
+    def test_axis_permutations_commute(self, box, count):
+        # the index-based search walks each axis order of the box in its
+        # own lexicographic order; the sets it finds still only permute
+        sets = set(enumerate_fls(box))
+        assert len(sets) == count
+        for order in permutations(range(len(box))):
+            permuted = {GeneralLowerSet.make(len(box), [tuple(r[t] for t in order) for r in s.rects])
+                        for s in sets}
+            found = list(enumerate_fls(tuple(box[t] for t in order)))
+            assert len(found) == count and set(found) == permuted, order
 
     def test_set_cap(self):
         # 3x3x4 holds 4116 lower sets, 8x8 holds 12,870
