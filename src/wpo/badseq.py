@@ -491,12 +491,19 @@ def _integer(text: str, least: int, says: str, form=repr) -> int:
     raise ValueError(f"{says} {shown(text, form)}, which is not an integer >= {least}")
 
 
-def _declared(headers: dict, derive: bool) -> tuple:
-    """The run the header block ``headers`` declares, with no records,
-    its ``records`` count, and the lines of the run regenerated with its
-    base.  With ``derive`` unset, or a start other than
-    descent_start(dim), nothing is regenerated; a dim above
-    MAX_GENERAL_DIM fails in ``general_type`` before it sizes anything."""
+def _declared(block: list, derive: bool) -> tuple:
+    """The run the header block ``block``, its (key, value) pairs,
+    declares, with no records, its ``records`` count, and the lines of
+    the run regenerated with its base.  With ``derive`` unset, or a
+    start other than descent_start(dim), nothing is regenerated; a dim
+    above MAX_GENERAL_DIM fails in ``general_type`` before it sizes
+    anything.  A repeated key is refused, and so are a length-bound
+    or a columns header other than the writer's, when there is one."""
+    headers = {}
+    for key, val in block:
+        if key in headers:
+            raise ValueError(f"repeated header {shown(key)}")
+        headers[key] = val
     for key in ("dim", "base", "start", "records"):
         if key not in headers:
             raise ValueError(f"missing header {key!r}")
@@ -504,6 +511,10 @@ def _declared(headers: dict, derive: bool) -> tuple:
                         for key, least in (("dim", 1), ("base", 1), ("records", 0)))
     _check_base(base)
     start = parse_ordinal(headers["start"])
+    bound = symbolic_length_bound(dim, base) if "length-bound" in headers else None
+    for key, want in (("length-bound", bound), ("columns", _COLUMNS)):
+        if headers.get(key, want) != want:
+            raise ValueError(f"header says {key} {shown(headers[key], str)}, which is not {want}")
     expected = iter(())
     with suppress(ValueError):
         if derive and _starts_a_run(start, dim) and start == descent_start(dim):
@@ -537,7 +548,7 @@ def _read(path: str, derive: bool) -> tuple:
     one record pulled per line: a line equal to that record's line is
     that record, and any other is parsed in full, as by ``read_run``.
     """
-    headers, records, regenerated = {}, [], []
+    block, records, regenerated = [], [], []
     run = None  # set at the first record line
 
     def number(cols, k):
@@ -552,9 +563,9 @@ def _read(path: str, derive: bool) -> tuple:
                 if line.startswith("#"):
                     key, colon, val = line[1:].partition(":")
                     if colon:
-                        headers[key.strip()] = val.strip()
+                        block.append((key.strip(), val.strip()))
                     continue
-                run, n, expected = _declared(headers, derive)
+                run, n, expected = _declared(block, derive)
             cols = line.split("|")
             if len(cols) != 8:
                 raise ValueError(f"line {lineno}: bad record line: {line!r}")
@@ -572,7 +583,7 @@ def _read(path: str, derive: bool) -> tuple:
             records.append(rec)
             regenerated.append(want)
     if run is None:
-        run, n, _ = _declared(headers, derive)
+        run, n, _ = _declared(block, derive)
     if n != len(records):
-        raise ValueError(f"header says {headers['records']} records but the file holds {len(records)}")
+        raise ValueError(f"header says {n} records but the file holds {len(records)}")
     return replace(run, records=tuple(records)), regenerated

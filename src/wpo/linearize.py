@@ -7,14 +7,15 @@ the natural sum of the contributions plus one, and the empty set ranks
 0.  The map is monotone for inclusion but deliberately not injective,
 which check_monotone witnesses by exhausting every pair inside a
 finite grid, ranking through a memo of ``contribution`` made fresh
-for each call, so each grid point's term is worked out once a call.
+for each call.  The memo is keyed by the box g+1 that a set holds for
+its generator g, so each grid box's term is worked out once a call.
 """
 
 from collections import namedtuple
 from functools import cache
 from itertools import product
 
-from .lowerset import GeneralLowerSet, enumerate_fls, generators
+from .lowerset import UNBOUNDED, GeneralLowerSet, UnboundedError, enumerate_fls
 from .ordinal import ONE, ZERO, Ordinal, _trusted, add, from_int
 
 
@@ -31,14 +32,17 @@ class RankAssignment(namedtuple("RankAssignment", "lower_set value contributions
     __slots__ = ()  # contributions: (generator, ordinal term) pairs, zero terms dropped
 
 
-def contribution(g) -> tuple:
-    """(g, w^lex(g[:-1]) * g[-1]) for a generator g with g[-1] >= 1."""
+def contribution(r) -> tuple:
+    """(g, w^lex(g[:-1]) * g[-1]) for the generator g = r-1 of a bounded
+    box r with r[-1] >= 2."""
+    g = tuple([e - 1 for e in r])
     return g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))
 
 
 def ordinal_rank(f: GeneralLowerSet, contribution=contribution) -> RankAssignment:
     """The rank of a bounded set; UnboundedError on a w extent.  Each
-    generator's pair comes from ``contribution``, which may be a memo.
+    generator's pair comes from ``contribution`` of its box, which may
+    be a memo.
 
     The generators are an antichain, so no two share their first m-1
     coordinates: the exponents of the contributions are distinct and,
@@ -47,10 +51,11 @@ def ordinal_rank(f: GeneralLowerSet, contribution=contribution) -> RankAssignmen
     """
     if f.dim == 0:
         raise ValueError("ranking needs at least one coordinate")
-    gens = generators(f)
-    if not gens:
+    if any(UNBOUNDED in r for r in f.rects):
+        raise UnboundedError(f"{f} is unbounded")
+    if not f.rects:
         return RankAssignment(f, ZERO, ())
-    contribs = tuple([contribution(g) for g in gens if g[-1]])
+    contribs = tuple([contribution(r) for r in f.rects if r[-1] > 1])
     total = _trusted([term[0] for _, term in reversed(contribs)])
     return RankAssignment(f, add(total, ONE), contribs)
 
@@ -72,7 +77,7 @@ def check_monotone(box) -> MonotoneReport:
     membership, independently of the rank construction: a bounded set
     lies inside another exactly when each of its generators does.  The
     ranks share one ``cache(contribution)``, built on each call and
-    dropped after it: one term per grid point, none kept across calls.
+    dropped after it: one term per grid box, none kept across calls.
 
     ``within[r]`` has bit j set when sets[j] holds the corner r-1 of
     grid box r.  One sweep from the top of the grid fills it: a grid

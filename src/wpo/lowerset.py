@@ -16,7 +16,8 @@ closure of its generators, the points e-1 of its boxes e (``closure``,
 Unbounded extents are float("inf"), exported as UNBOUNDED, written "w".
 The complement of a lower set, given by the minimal points outside it,
 is computed here too, one routine for both directions: from_complement
-is complement_points negated.  monomial.py wraps those points in ideals.
+is complement_points negated; it serves the ideals of monomial.py.  The
+coordinate-subset layer (parts, fiber images, specifications) reads boxes.
 """
 
 import math
@@ -208,11 +209,6 @@ def preimage(s: GeneralLowerSet, coords, dim: int) -> GeneralLowerSet:
     return GeneralLowerSet.make(dim, rects)
 
 
-# The complement of a lower set is an upper set generated by finitely many
-# points (a monomial ideal), and projecting an upper set projects its
-# generators.  That gives intersection_image = complement . project .
-# complement without any search.
-
 def complement_points(rects, dim: int, outside=None) -> list:
     """Minimal points outside the union of ``rects``, sorted.  It serves
     both directions of the complement: see ``from_complement``.
@@ -292,10 +288,14 @@ def from_complement(points, dim: int) -> GeneralLowerSet:
 
 
 def intersection_image(s: GeneralLowerSet, coords) -> GeneralLowerSet:
-    """The points p of the projected space whose whole fiber lies in s."""
+    """The points p of the projected space whose whole fiber lies in s.
+    That fiber is the box p+1 on ``coords``, w elsewhere, and it lies in
+    s only inside one box of s (the lemma of ``inclusion_masks``), one
+    that is w off ``coords``.  So the image projects those boxes."""
     coords = sorted(coords)
-    points = [tuple(g[i] for i in coords) for g in complement_points(s.rects, s.dim)]
-    return from_complement(minimal_points(points, len(coords)), len(coords))
+    rest = [i for i in range(s.dim) if i not in coords]
+    boxes = tuple(r for r in s.rects if all(r[i] == UNBOUNDED for i in rest))
+    return project(_trusted(GeneralLowerSet, s.dim, boxes), coords)
 
 
 def _nonempty_subsets(dim: int):
@@ -310,7 +310,7 @@ def compose_parts(parts, dim: int) -> GeneralLowerSet:
     bounded lower set living on the coordinates of C in sorted order.
     The result is always a proper lower set of N^dim.
     """
-    out = GeneralLowerSet.make(dim, [])
+    boxes = []
     for coords in _nonempty_subsets(dim):
         if coords not in parts:
             raise ValueError(f"missing part for coordinates {sorted(coords)}")
@@ -318,7 +318,8 @@ def compose_parts(parts, dim: int) -> GeneralLowerSet:
         if part.dim != len(coords):
             raise ValueError(f"part for {sorted(coords)} has dimension {part.dim}")
         generators(part)  # an unbounded part raises UnboundedError
-        out = out.union(preimage(part, coords, dim))
+        boxes += preimage(part, coords, dim).rects
+    out = GeneralLowerSet.make(dim, boxes)
     if not out.proper:
         raise AssertionError("cylinders of bounded parts cannot cover the space")
     return out
@@ -422,7 +423,8 @@ ENUMERATION_GUARD = 2 ** 20
 MAX_LOWER_SETS = 5000
 
 # Most unions of boxes enumerate_gls tries.  Each is canonicalized; the
-# 43,745 of `wpo oracle phi --m 3` take about 11 s with their checks.
+# 43,745 of `wpo oracle phi --m 3` take about 7 s with their checks on a
+# 2-CPU x86-64 VM.
 MAX_BOX_COMBINATIONS = 100_000
 
 

@@ -19,26 +19,21 @@ def dominates(u: tuple, v: tuple) -> bool:
 def minimal_points(points, dim: int) -> list:
     """Componentwise-minimal elements of ``points``, sorted.
 
-    Uses a sweep in lexicographic order: a dominating (smaller) vector
-    always sorts before the vectors it dominates, so one forward pass
-    with an antichain structure suffices.  dim 1 to 3 get the
-    O(n log n) staircase treatment.  In other dims p is minimal exactly
-    when its ``dominance_masks`` mask holds its own bit alone (the
-    points are distinct).
+    Dims 0 to 3 take an O(n log n) sweep in lexicographic order: a
+    dominating (smaller) vector always sorts before the vectors it
+    dominates, so one forward pass over a staircase of the last two
+    coordinates suffices.  Points of dims below 3 go through it padded
+    with zeros, which keeps their order and dominance, and come back
+    cut.  In other dims p is minimal exactly when its
+    ``dominance_masks`` mask holds its own bit alone (the points are
+    distinct).
     """
+    if dim < 3:
+        pad = (0,) * (3 - dim)
+        return [p[:dim] for p in minimal_points([p + pad for p in points], 3)]
     pts = sorted(set(points))
     if not pts:
         return []
-    if dim == 1:
-        return [pts[0]]
-    if dim == 2:
-        kept = []
-        best = None
-        for p in pts:
-            if best is None or p[1] < best:
-                kept.append(p)
-                best = p[1]
-        return kept
     if dim == 3:
         kept = []
         ys: list = []  # pareto front over (y, z) of kept points: y asc, z desc

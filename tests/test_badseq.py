@@ -773,8 +773,10 @@ def tampered_files(rng, dim, lines):
     changed, an ordinal written with spaces, a 4300-digit index, a
     record dropped, repeated, swapped with the next or copied after the
     last, a wrong ``records`` header, CRLF line endings, blank lines,
-    another start or base, and headers after the first record, in the
-    cases whose names end "the records", which the readers refuse.
+    another start or base (with the length bound it gives), a repeated
+    header, a length bound or columns header the writer never writes,
+    and headers after the first record, in the cases whose names end
+    "the records", which the readers refuse.
     ``VERDICTS`` has the exit status of ``wpo verify`` on the cases
     whose tampering decides it."""
     head, body = lines[:7], lines[7:]
@@ -861,16 +863,31 @@ def tampered_files(rng, dim, lines):
     # than int() reads
     at = next(i for i, line in enumerate(head) if line.startswith("# base:"))
     base = int(head[at].partition(":")[2])
+    bound = head.index(f"# length-bound: {symbolic_length_bound(dim, base)}")
+
+    def with_base(text):
+        # the length bound names the base twice, and follows it
+        tail = head[bound].removesuffix(f"({base})-{base}") + f"({text})-{text}"
+        return head[:at] + [f"# base: {text}"] + head[at + 1:bound] + [tail] + head[bound + 1:]
+
     bases = (str(base + 1), "0", "9" * 2200, "9" * 5000)
     for text in bases:
-        yield f"base {text}", head[:at] + [f"# base: {text}"] + head[at + 1:] + body
+        yield f"base {text}", with_base(text) + body
     # the base header alone after the records, another one after them,
     # or another base before them and the file's own after them
     yield "base after the records", head[:at] + head[at + 1:] + body + head[at:at + 1]
     yield f"base {base + 1} after the records", lines + [f"# base: {base + 1}"]
     for text in bases:
-        yield (f"base {text} before the records",
-               head[:at] + [f"# base: {text}"] + head[at + 1:] + body + head[at:at + 1])
+        yield f"base {text} before the records", with_base(text) + body + head[at:at + 1]
+    # headers the writer never writes: a key twice, another base first
+    # and the file's own last, a length bound of another dimension, and
+    # columns that are not the record columns
+    yield "dim header twice", head[:at] + head[at - 1:] + body
+    yield f"base {base + 1} then base {base}", head[:at] + [f"# base: {base + 1}"] + lines[at:]
+    yield (f"length-bound of dim {dim + 1}",
+           head[:bound] + [f"# length-bound: {symbolic_length_bound(dim + 1, base)}"]
+           + head[bound + 1:] + body)
+    yield "columns nonsense", head[:-1] + ["# columns: nonsense"] + body
 
 
 # `wpo verify`'s exit status on the cases of tampered_files whose
@@ -888,6 +905,10 @@ VERDICTS = {
     "record N with a malformed generator after its own": 2,
     "record N with an empty box of the wrong arity first": 2,
     "record N box of N digits": 2,
+    "dim header twice": 2,
+    "base N then base N": 2,
+    "length-bound of dim N": 2,
+    "columns nonsense": 2,
 }
 
 
@@ -955,6 +976,28 @@ class TestAuditFile:
         path = tmp_path / "run.rec"
         path.write_text("\n".join(lines) + "\n")
         want = f"line 9: number <5000 characters> has more than 4300 digits{at}"
+        for read in (read_run, audit_file):
+            with pytest.raises(ValueError) as exc:
+                read(str(path))
+            assert str(exc.value) == want
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+    @pytest.mark.parametrize("header,text,want", [
+        ("length-bound", "H_{w}(2)-2",
+         "header says length-bound H_{w}(2)-2, which is not H_{w^(w+2)}(2)-2"),
+        ("columns", "nonsense", f"header says columns nonsense, which is not {badseq._COLUMNS}"),
+        ("columns", "x" * 5000,
+         f"header says columns <5000 characters>, which is not {badseq._COLUMNS}"),
+        ("base", "5\n# base: 2", "repeated header 'base'"),
+        ("dim", "2\n# dim: 2", "repeated header 'dim'"),
+    ], ids=["length-bound", "columns", "columns-5000", "base-twice", "dim-twice"])
+    def test_header_the_writer_never_writes_refused(self, tmp_path, capsys, header, text, want):
+        # a d2 n=30 file with one header line replaced
+        lines = [f"# {header}: {text}" if line.startswith(f"# {header}:") else line
+                 for line in run_lines(generate(2, 2, 30))]
+        path = tmp_path / "run.rec"
+        path.write_text("\n".join(lines) + "\n")
         for read in (read_run, audit_file):
             with pytest.raises(ValueError) as exc:
                 read(str(path))

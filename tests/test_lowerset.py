@@ -40,9 +40,9 @@ from wpo.lowerset import (
 )
 from wpo.linearize import MonotoneReport, RankAssignment
 from wpo.monomial import MonomialIdeal
-from wpo.oracles import (OracleReport, brute_equal, brute_includes, grid, grid_bound, rand_gls,
-                         rand_proper_gls)
-from wpo.ordinal import OMEGA, ONE, DescentTrace, HardyOutcome
+from wpo.oracles import (OracleReport, brute_equal, brute_includes, grid, grid_bound, naive_hardy,
+                         rand_gls, rand_proper_gls)
+from wpo.ordinal import OMEGA, ONE, DescentTrace, HardyOutcome, Ordinal
 from wpo.vectors import dominates, maximal_points, minimal_points
 
 W = UNBOUNDED
@@ -352,17 +352,17 @@ class TestProjection:
         assert intersection_image(full_space(2), []).rects == ((),)
 
     def test_intersection_image_against_fibers(self):
+        # dims 1-4, every coordinate subset, the empty one and all of them too
         rng = random.Random(13)
-        for _ in range(120):
-            dim = rng.choice([2, 3])
-            s = rand_gls(rng, dim, max_extent=4, max_rects=3)
-            size = rng.randint(1, dim - 1) if dim > 1 else 1
-            coords = sorted(rng.sample(range(dim), size))
-            img = intersection_image(s, coords)
-            want = brute_intersection_image(s, coords)
+        for dim, _ in product([1, 2, 3, 4], range(30)):
+            s = rand_gls(rng, dim, max_extent=4, max_rects=3,
+                         unbounded_rate=rng.choice([0.3, 0.6]))
             b = grid_bound(s)
-            got = [p for p in grid(b, len(coords)) if img.member(p)]
-            assert got == want, (s, coords)
+            for size in range(dim + 1):
+                for coords in combinations(range(dim), size):
+                    img = intersection_image(s, coords)
+                    got = [p for p in grid(b, size) if img.member(p)]
+                    assert got == brute_intersection_image(s, coords), (s, coords)
 
 
 class TestPartsDecomposition:
@@ -701,3 +701,39 @@ def test_record_contract(record, by_keyword, text):
     for name in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def outcome(thunk):
+    """What ``thunk()`` returns, or the type and text of what it raises."""
+    try:
+        return thunk()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+MISMATCH = (ValueError, "dimension mismatch")
+IDEAL = MonomialIdeal.make(2, [(1, 1)])
+
+# argument checks that no other test reaches
+REFUSALS = {
+    "GeneralLowerSet.member": (lambda: closure([(1, 1)], 2).member((0,)), MISMATCH),
+    "MonomialIdeal.member": (lambda: IDEAL.member((0,)), MISMATCH),
+    "MonomialIdeal.includes": (lambda: IDEAL.includes(MonomialIdeal.make(1, [(1,)])), MISMATCH),
+    "MonomialIdeal.intersect": (lambda: IDEAL.intersect(MonomialIdeal.make(1, [(1,)])), MISMATCH),
+    "validate_specification": (
+        lambda: validate_specification(PartialSpecification(
+            1, frozenset([frozenset(), frozenset([0])]),
+            {frozenset(): GeneralLowerSet.make(0, [])})),
+        ["no assignment for [0]"]),
+    "enumerate_gls": (lambda: next(enumerate_gls(2, [0, 1], 1)),
+                      (ValueError, "extents must be positive integers or UNBOUNDED")),
+    "naive_hardy x": (lambda: naive_hardy(OMEGA, -1), (ValueError, "need x >= 0 and budget >= 1")),
+    "naive_hardy budget": (lambda: naive_hardy(OMEGA, 2, budget=0),
+                           (ValueError, "need x >= 0 and budget >= 1")),
+    "Ordinal": (lambda: Ordinal(((1, 1),)), (TypeError, "terms must be (Ordinal, int) pairs")),
+}
+
+
+@pytest.mark.parametrize("thunk,want", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(thunk, want):
+    assert outcome(thunk) == want

@@ -13,9 +13,10 @@ def brute_minimal(points):
 
 
 def test_minimal_points_matches_pairwise_filter():
-    # dims 1-3 take the sweeps, dims 0 and >= 4 the prefix masks; the
-    # infinite coordinates are what maximal_points feeds it, negated,
-    # and what inclusion_masks feeds the masks as w extents
+    # dims 0-3 take the one sweep, dims 0-2 padded to 3, and dims >= 4
+    # the prefix masks; the infinite coordinates are what maximal_points
+    # feeds it, negated, and what inclusion_masks feeds the masks as w
+    # extents
     rng = random.Random(2024)
     coords = [-INF, INF] + list(range(-2, 5))
     for dim in range(7):
@@ -51,7 +52,7 @@ def test_maximal_points_matches_pairwise_filter():
 
 
 def test_dimension_zero():
-    # intersection_image onto no coordinates asks for these
+    # canonicalizing a set of dim 0 asks for these
     assert minimal_points([], 0) == []
     assert minimal_points([(), ()], 0) == [()]
 
