@@ -27,7 +27,6 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import count, islice
-from math import comb
 
 from .lowerset import (
     GeneralLowerSet,
@@ -52,6 +51,7 @@ from .ordinal import (
     parse_ordinal,
     predecessor,
     step,
+    type_block,
 )
 from .vectors import format_point, integer, shown
 
@@ -61,29 +61,15 @@ def descent_start(dim: int) -> Ordinal:
     return predecessor(general_type(dim))
 
 
-def _subset(dim: int, j: int, rank: int) -> tuple:
-    """The j-subset of range(dim) at ``rank`` in lexicographic order."""
-    out, x = [], 0
-    for left in range(j, 0, -1):
-        while rank >= (n := comb(dim - x - 1, left - 1)):
-            rank -= n
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
 def shape_from_ordinal(alpha: Ordinal, dim: int):
     """The staircase of ``alpha`` below descent_start(dim): its boxes
     in construction order, and its norm.
 
-    Each term w^e*c gives one box.  Write e = w^(dim-1)*d_(dim-1) + ...
-    + d_0 and read the digits from the top, level j = dim down to 1:
-    the digit d_(j-1) equals C(dim,j) to pass on to level j-1, or is
-    below it to pick the j-subset S of lexicographic rank
-    C(dim,j)-1-d_(j-1); d_(j-2), ..., d_0 are then the position p.  The
-    box is unbounded off S.  At level 1 its one bounded coordinate is
-    c.  At level j >= 2 the first j-1 coordinates t of S get
+    Each term w^e*c gives one box, in the block of e that the one
+    decoder of the layout, ``ordinal.type_block(e, dim)``, reads: a set
+    S of j coordinates, j being the level, and j-1 position digits p.
+    The box is unbounded off S.  At level 1 its one bounded coordinate
+    is c.  At level j >= 2 the first j-1 coordinates t of S get
     reach_t + p_t + 2 and the last gets reach + (the coefficients so far
     in S's block) + 2, where reach_t is the largest finite extent in
     coordinate t among the boxes of lower levels, 0 if none.  Lower
@@ -99,13 +85,13 @@ def shape_from_ordinal(alpha: Ordinal, dim: int):
 
 
 def _stair_start(dim: int) -> tuple:
-    """The staircase state before the first term: (seen, reach, level,
-    block, acc, total, top), named as in ``_staircase``."""
-    return [0] * dim, [], 0, None, 0, 0, 0
+    """The staircase state before the first term: (seen, reach, block,
+    acc, total, top), named as in ``_staircase``."""
+    return [0] * dim, [], (), 0, 0, 0
 
 
 def _norm(state: tuple) -> int:
-    return state[5] + state[6]
+    return state[4] + state[5]
 
 
 def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
@@ -125,35 +111,25 @@ def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
     block B's last extent is bigger (acc grows), and B' is bigger at the
     first position digit where the two differ.  Every extent is a
     coefficient c >= 1 at level 1, at least 2 above it, or w."""
-    seen, reach, level, block, acc, total, top = state
+    seen, reach, block, acc, total, top = state
     # seen: largest finite extent a coordinate, every box so far; reach:
-    # the same over the boxes of lower levels, set per level
+    # the same over the boxes of lower levels, set when the level (the
+    # size of the block) changes
     for e, c in terms:
-        digits = [0] * dim
-        for f, d in e:
-            if not f:
-                digits[0] = d
-            elif len(f) == 1 and not f[0][0] and f[0][1] < dim:
-                digits[f[0][1]] = d
-            else:
-                raise ValueError(f"{alpha} is not below {descent_start(dim)}")
-        j = dim
-        while (d := digits[j - 1]) >= (size := comb(dim, j)):
-            if d > size or j == 1:
-                raise ValueError(f"{alpha} is not below {descent_start(dim)}")
-            j -= 1
-        if j != level:
-            level, reach = j, seen
-        s = _subset(dim, j, size - 1 - d)
+        if not (found := type_block(e, dim)):
+            raise ValueError(f"{alpha} is not below {descent_start(dim)}")
+        s, positions = found
+        if len(s) != len(block):
+            reach = seen
         if s != block:
             block, acc = s, 0
         acc += c
         total += c
         box = [UNBOUNDED] * dim
-        if j == 1:
+        if not positions:
             box[s[0]] = c
         else:
-            for t, p in zip(s, digits[j - 2::-1]):  # p runs d_(j-2) .. d_0
+            for t, p in zip(s, positions):
                 if p > top:
                     top = p
                 box[t] = reach[t] + p + 2
@@ -163,7 +139,7 @@ def _staircase(alpha: Ordinal, dim: int, state: tuple, terms):
         for t in s:
             if box[t] > seen[t]:
                 seen[t] = box[t]
-        yield tuple(box), (seen, reach, level, block, acc, total, top)
+        yield tuple(box), (seen, reach, block, acc, total, top)
 
 
 def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
@@ -415,18 +391,19 @@ def run_lines(run: DescentRun) -> list:
     keeps."""
     alphas = [r.alpha for r in run.records]
     kept = map(common_prefix, [ZERO] + alphas, alphas)
-    return _file_lines(run.dim, run.base, run.start, list(zip(run.records, kept)))
+    return list(_file_lines(run.dim, run.base, run.start, list(zip(run.records, kept))))
 
 
-def descent_lines(dim: int, base: int, limit: int) -> list:
-    """``run_lines(generate(dim, base, limit))``, formatted from the
-    kept counts that the descent yields."""
+def descent_lines(dim: int, base: int, limit: int):
+    """The lines of ``run_lines(generate(dim, base, limit))``, one at a
+    time, formatted from the kept counts that the descent yields.  The
+    records are derived first; each line is made as it is read."""
     steps = _steps(dim, base, limit)
     return _file_lines(dim, base, descent_start(dim), steps)
 
 
-def _file_lines(dim: int, base: int, start: Ordinal, steps: list) -> list:
-    return [
+def _file_lines(dim: int, base: int, start: Ordinal, steps: list):
+    yield from [
         "# descent run",
         f"# dim: {dim}",
         f"# base: {base}",
@@ -434,7 +411,8 @@ def _file_lines(dim: int, base: int, start: Ordinal, steps: list) -> list:
         f"# records: {len(steps)}",
         f"# length-bound: {symbolic_length_bound(dim, base)}",
         f"# columns: {_COLUMNS}",
-    ] + [line for _, line in _record_lines(steps)]
+    ]
+    yield from (line for _, line in _record_lines(steps))
 
 
 def _record_lines(steps):
@@ -466,14 +444,14 @@ def write_run(run: DescentRun, path: str) -> None:
 
 
 def write_lines(lines, path: str) -> None:
-    """Write the record file of ``lines`` atomically: into a temporary
-    file beside ``path``, which then replaces it.  A failed write leaves
-    an older file at ``path`` whole and no temporary file behind."""
-    text = "\n".join(lines) + "\n"
+    """Write the record file of ``lines``, an iterable read one line at a
+    time, atomically: into a temporary file beside ``path``, which then
+    replaces it.  A failed write, or a failure while ``lines`` is read,
+    leaves an older file at ``path`` whole and no temporary file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):

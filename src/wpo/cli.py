@@ -84,7 +84,7 @@ def cmd_badseq(args) -> int:
     if args.out:
         bs.write_lines(lines, args.out)
     else:
-        print("\n".join(lines))
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 

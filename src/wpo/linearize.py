@@ -2,12 +2,16 @@
 
 Each generator (v_1,...,v_m) of a finite lower set (a maximal point,
 ``lowerset.generators``) contributes w^(position of (v_1,...,v_{m-1})
-in the lexicographic well-order of N^(m-1)) times v_m; the rank is
-the natural sum of the contributions plus one, and the empty set ranks
-0.  The map is monotone for inclusion but deliberately not injective,
-which check_monotone witnesses by exhausting every pair inside a
-finite grid, ranking through a memo of ``contribution`` made fresh
-for each call.  The memo is keyed by the box g+1 that a set holds for
+in the lexicographic well-order of N^(m-1), ``ordinal.lex_ordinal``)
+times v_m.  That exponent lies in the level-m block, the one of all m
+coordinates, of the exponent of general_type(m): the one decoder of
+that layout, ``ordinal.type_block``, reads it back as (range(m),
+(v_1,...,v_{m-1})).  The rank is the natural sum of the
+contributions plus one, and the empty set ranks 0.  The map is
+monotone for inclusion but deliberately not injective, which
+check_monotone witnesses by exhausting every pair inside a finite
+grid, ranking through a memo of ``contribution`` made fresh for each
+call.  The memo is keyed by the box g+1 that a set holds for
 its generator g, so each grid box's term is worked out once a call.
 """
 
@@ -16,16 +20,7 @@ from functools import cache
 from itertools import product
 
 from .lowerset import UNBOUNDED, GeneralLowerSet, UnboundedError, enumerate_fls
-from .ordinal import ONE, ZERO, Ordinal, _trusted, add, from_int
-
-
-def lex_ordinal(vec) -> Ordinal:
-    """Position of vec, a point of N^len(vec), in the lexicographic
-    well-order: w^(k-1-i) times v_i summed over the nonzero v_i.  The
-    exponents fall with i and the coefficients are positive, so the
-    terms are in normal form as built."""
-    k = len(vec)
-    return _trusted([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v])
+from .ordinal import ONE, ZERO, _trusted, add, lex_ordinal
 
 
 class RankAssignment(namedtuple("RankAssignment", "lower_set value contributions")):
@@ -34,7 +29,8 @@ class RankAssignment(namedtuple("RankAssignment", "lower_set value contributions
 
 def contribution(r) -> tuple:
     """(g, w^lex(g[:-1]) * g[-1]) for the generator g = r-1 of a bounded
-    box r with r[-1] >= 2."""
+    box r with r[-1] >= 2: a term of the level-m block of the general
+    type's exponent (see the module docstring)."""
     g = tuple([e - 1 for e in r])
     return g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))
 

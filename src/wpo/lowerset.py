@@ -196,17 +196,26 @@ def project(s: GeneralLowerSet, coords) -> GeneralLowerSet:
 
 
 def preimage(s: GeneralLowerSet, coords, dim: int) -> GeneralLowerSet:
-    """Cylinder over s: full preimage under the projection to ``coords``."""
-    coords = sorted(coords)
-    if len(coords) != s.dim:
-        raise ValueError("coordinate count must match the set's dimension")
+    """Cylinder over s: full preimage under the projection to ``coords``,
+    s.dim distinct coordinates below ``dim``.
+
+    Each box of s gives one box, with s's extents on ``coords`` in
+    sorted order and w on every other coordinate.  The added
+    coordinates are w in every box, so two of the new boxes compare, in
+    tuple order and in dominance, as the boxes of s they come from: kept
+    in s's order they are the sorted maximal boxes, the canonical form,
+    with no ``make``.
+    """
+    coords = sorted(set(coords))
+    if len(coords) != s.dim or coords and not 0 <= coords[0] <= coords[-1] < dim:
+        raise ValueError(f"need {s.dim} distinct coordinates below {dim}, not {coords}")
     rects = []
     for r in s.rects:
         ext = [UNBOUNDED] * dim
         for i, e in zip(coords, r):
             ext[i] = e
         rects.append(tuple(ext))
-    return GeneralLowerSet.make(dim, rects)
+    return _trusted(GeneralLowerSet, dim, tuple(rects))
 
 
 def complement_points(rects, dim: int, outside=None) -> list:
@@ -416,8 +425,6 @@ def is_compatible(s: GeneralLowerSet, p: PartialSpecification) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-ENUMERATION_GUARD = 2 ** 20
-
 # Most lower sets enumerate_fls yields before it gives up.  Callers pair
 # every set with every other, so this caps them at 25M pairs.
 MAX_LOWER_SETS = 5000
@@ -436,9 +443,9 @@ def enumerate_fls(box):
     a point may be present only when all its immediate predecessors are,
     so leaving a point out ends its row (the points differing from it in
     the last coordinate wider than 1 only; extent-1 coordinates are
-    always 0).  Raises ValueError on a volume above
-    ENUMERATION_GUARD, at once on a volume of MAX_LOWER_SETS or more,
-    and once more than MAX_LOWER_SETS sets have turned up.
+    always 0).  Raises ValueError at once on a volume of
+    MAX_LOWER_SETS or more, and once more than MAX_LOWER_SETS sets have
+    turned up.
 
     ``chosen``, ``tops`` and ``preds[k]`` hold indices into the sorted
     ``points``, so index order is lexicographic order.  Each set is built
@@ -456,11 +463,8 @@ def enumerate_fls(box):
     box = tuple(box)
     if not all(isinstance(e, int) and e >= 1 for e in box):
         raise ValueError("box extents must be positive integers")
-    size = math.prod(box)
-    if size > ENUMERATION_GUARD:
-        raise ValueError(f"box volume {size} exceeds guard {ENUMERATION_GUARD}")
     # volume V: at least V+1 lower sets, one per prefix of the point order
-    if size >= MAX_LOWER_SETS:
+    if math.prod(box) >= MAX_LOWER_SETS:
         raise ValueError(f"box {box} holds more than {MAX_LOWER_SETS} lower sets")
     dim = len(box)
     row = next((e for e in reversed(box) if e > 1), 1)

@@ -3,8 +3,10 @@
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with ordinal
 exponents e1 > ... > ek and positive integer coefficients.  The empty
 sum is 0.  On top of the arithmetic this module provides fundamental
-sequences, the Hardy hierarchy, step-down descents, and the two
-closed-form order types used by the rest of the package.
+sequences, the Hardy hierarchy, step-down descents, the two
+closed-form order types used by the rest of the package, and the one
+digit layout of the general type's exponent (``lex_ordinal``,
+``type_block``), through which the staircase and the rank read it.
 
 A descent step rewrites only the last term of a normal form, in place
 on a list of terms (``_rewrite``): every stepping loop goes through it.
@@ -13,6 +15,8 @@ Text form: ``w^(w+2)+w^2*3+5`` (see parse_ordinal / format_ordinal).
 """
 
 from collections import namedtuple
+from functools import cache, lru_cache
+from itertools import accumulate
 from math import comb
 
 from .vectors import read_natural
@@ -308,11 +312,79 @@ MAX_GENERAL_DIM = 1000
 
 def general_type(m: int) -> Ordinal:
     """Maximal order type of inclusion on all lower sets of the
-    m-dimensional grid: w^(sum of w^(m-k) * C(m, k-1)) + 1."""
+    m-dimensional grid: w^E + 1 with E = sum of w^(m-k) * C(m, k-1), the
+    ``lex_ordinal`` of the level digits C(m,m), ..., C(m,1)."""
     if not 1 <= m <= MAX_GENERAL_DIM:
         raise ValueError(f"need 1 <= m <= {MAX_GENERAL_DIM}")
-    exponent = Ordinal(tuple((from_int(m - k), comb(m, k - 1)) for k in range(1, m + 1)))
-    return add(omega_pow(exponent), ONE)
+    return add(omega_pow(lex_ordinal(_level_digits(m))), ONE)
+
+
+# ---------------------------------------------------------------------------
+# the block layout of the exponent of general_type
+#
+# E has one block w^(j-1) for each set S of j of the m coordinates,
+# j = 1..m.  Read as a digit vector, most significant first, E is the
+# level digits C(m,m), ..., C(m,1); an exponent below E agrees with
+# them down to some level j, where its digit is below C(m,j), and that
+# digit and the j-1 digits after it place it in one block.  The lower
+# bound (``badseq``'s staircase) and the upper bound (``linearize``'s
+# rank, whose terms lie in the level-m block) both read exponents so.
+
+
+def lex_ordinal(vec) -> Ordinal:
+    """Position of vec, a point of N^len(vec), in the lexicographic
+    well-order: w^(k-1-i) times v_i summed over the nonzero v_i.  The
+    exponents fall with i and the coefficients are positive, so the
+    terms are in normal form as built."""
+    k = len(vec)
+    return _trusted([(from_int(k - 1 - i), v) for i, v in enumerate(vec) if v])
+
+
+@lru_cache(maxsize=16)
+def _level_digits(m: int) -> tuple:
+    """C(m,m), C(m,m-1), ..., C(m,1): the number of j-subsets of the m
+    coordinates for level j = m down to 1, by C(m,j-1) = C(m,j) * j /
+    (m-j+1).  The decoder reads them once a term, so they are kept for
+    the last 16 m; no more, since general_type reads them for every m up
+    to 1000."""
+    return tuple(accumulate(range(m, 1, -1), lambda c, j: c * j // (m - j + 1), initial=1))
+
+
+@cache
+def _subset(m: int, j: int, rank: int) -> tuple:
+    """The j-subset of range(m) at ``rank`` in lexicographic order.
+    Kept once worked out: a run decodes a few blocks once a term."""
+    out, x = [], 0
+    for left in range(j, 0, -1):
+        while rank >= (n := comb(m - x - 1, left - 1)):
+            rank -= n
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def type_block(e: Ordinal, m: int):
+    """(S, positions) for an exponent e below the exponent E of
+    general_type(m): the block e lies in and its digits there; None for
+    any other e.
+
+    The digit v_i of e is its coefficient of w^(m-1-i), as in
+    ``lex_ordinal``.  Read from the top, level j = m down to 1, a digit
+    equal to C(m,j) passes on to level j-1; one below it picks the
+    j-subset S of lexicographic rank C(m,j)-1-v_i, and the j-1 digits
+    after it are the positions.  A term at w^m or above, a digit above
+    C(m,j), and E itself are not below E.
+    """
+    digits = [0] * m
+    for f, d in e:
+        if f and (len(f) > 1 or f[0][0] or f[0][1] >= m):
+            return None
+        digits[m - 1 - (f[0][1] if f else 0)] = d
+    for i, (d, size) in enumerate(zip(digits, _level_digits(m))):
+        if d != size:
+            return (_subset(m, m - i, size - 1 - d), digits[i + 1:]) if d < size else None
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ class TestCursor:
             return real(xs, ys)
         monkeypatch.setattr(badseq, "common_prefix", counted)
         run = generate(dim, 2, n)
-        descent_lines(dim, 2, n)
+        list(descent_lines(dim, 2, n))
         assert calls == []
         path = tmp_path / "run.rec"
         write_run(run, str(path))

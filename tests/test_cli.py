@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,6 +371,22 @@ class TestBadseqVerify:
         assert code == 0
         run_cli(capsys, "badseq", "-m", str(m), "-K", "3", "-n", str(n), "-o", str(path))
         assert out == path.read_text() == "\n".join(badseq.run_lines(generate(m, 3, n))) + "\n"
+
+    def test_badseq_writes_without_holding_the_text(self, capsys, tmp_path):
+        # each line is written as it is made: the traced peak stays under
+        # twice the file, which holding every line and their joined text
+        # as well as the records (about three times the file) exceeds
+        path = tmp_path / "run.rec"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run_cli(capsys, "badseq", "-m", "3", "-K", "2", "-n", "400", "-o", str(path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * path.stat().st_size
 
     def test_generate_then_verify(self, capsys, tmp_path):
         path = str(tmp_path / "run.rec")

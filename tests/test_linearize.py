@@ -11,7 +11,8 @@ from wpo.linearize import (MonotoneReport, RankAssignment, check_monotone, contr
                            ordinal_rank)
 from wpo.lowerset import (UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls,
                           generators, inclusion_masks)
-from wpo.ordinal import ONE, ZERO, Ordinal, add, compare, from_int, natural_sum, parse_ordinal
+from wpo.ordinal import (ONE, ZERO, Ordinal, add, compare, from_int, natural_sum, parse_ordinal,
+                         type_block)
 
 
 def o(text):
@@ -46,6 +47,16 @@ class TestLexOrdinal:
         vals = [lex_ordinal(p) for p in pts]
         for a, b in zip(vals, vals[1:]):
             assert compare(a, b) == -1
+
+    @pytest.mark.parametrize("box", [(5,), (3, 4), (2, 3, 4), (2, 2, 2, 3)])
+    def test_contribution_is_a_term_of_the_level_m_block(self, box):
+        # the exponent of a generator g's term lies in the block of all m
+        # coordinates of the general type's exponent, at positions g[:-1]
+        m = len(box)
+        for r in product(*[range(1, e + 1) for e in box]):
+            if r[-1] > 1:
+                g, term = contribution(r)
+                assert type_block(term[0][0], m) == (tuple(range(m)), list(g[:-1]))
 
 
 class TestOrdinalRank:

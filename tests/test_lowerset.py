@@ -9,7 +9,6 @@ import pytest
 from support import rand_point
 from wpo import lowerset
 from wpo.lowerset import (
-    ENUMERATION_GUARD,
     GeneralLowerSet,
     PartialSpecification,
     UNBOUNDED,
@@ -268,6 +267,24 @@ class TestProjection:
         assert c.member((100, 2, 100)) and not c.member((0, 3, 0))
         with pytest.raises(ValueError):
             preimage(s, [0, 1], 3)
+
+    def test_preimage_is_canonical_as_built(self):
+        # the cylinder is built without make: it must pass the checked
+        # constructor and equal make of its boxes, for every placement
+        rng = random.Random(44)
+        for _ in range(150):
+            k, dim = rng.choice([(0, 2), (1, 1), (1, 3), (2, 3), (2, 4), (3, 5)])
+            s = rand_gls(rng, k, max_rects=6)
+            coords = rng.sample(range(dim), k)
+            c = preimage(s, coords, dim)
+            assert c == GeneralLowerSet(dim, c.rects) == GeneralLowerSet.make(dim, c.rects)
+            assert project(c, coords) == s
+
+    def test_preimage_refuses_coordinates_it_cannot_place(self):
+        s = GeneralLowerSet.make(2, [(3, 1)])
+        for coords in ([0, 0], [1, 3], [-1, 0], [2]):
+            with pytest.raises(ValueError, match="need 2 distinct coordinates below 3"):
+                preimage(s, coords, 3)
 
     def test_complement_points_continue_from_a_prefix(self):
         rng = random.Random(43)
@@ -570,7 +587,6 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(ValueError):
             list(enumerate_fls((2,) * 25))
-        assert ENUMERATION_GUARD == 2 ** 20
         with pytest.raises(ValueError):
             list(enumerate_fls((0, 2)))
 

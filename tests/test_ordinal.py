@@ -2,6 +2,7 @@ import hashlib
 import random
 from functools import cmp_to_key
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from wpo.ordinal import (
     OrdinalParseError,
     ZERO,
     _rewrite,
+    _subset,
     add,
     bounded_type,
     compare,
@@ -30,6 +32,7 @@ from wpo.ordinal import (
     hardy,
     is_limit,
     is_successor,
+    lex_ordinal,
     natural_product,
     natural_sum,
     omega_pow,
@@ -37,6 +40,7 @@ from wpo.ordinal import (
     pow2,
     predecessor,
     step,
+    type_block,
 )
 
 
@@ -533,3 +537,52 @@ class TestTypeFormulas:
                     product = natural_product(product, bounded_type(size))
             assert omega_pow(exponent) == descent_start(m)
             assert general_type(m) == natural_sum(ONE, product)
+
+
+def test_general_type_texts_pinned():
+    # sha256 of the texts of general_type(m) for m = 1..1000, run
+    # together, from the formula before it read the level digits
+    digest = hashlib.sha256()
+    for m in range(1, 1001):
+        digest.update(str(general_type(m)).encode())
+    assert digest.hexdigest() == "38cfef5cc380c6cc30e07851f0744661245878861de90548e83a2e247a7fbced"
+
+
+class TestTypeBlock:
+    @staticmethod
+    def levels(m):
+        return [comb(m, j) for j in range(m, 0, -1)]
+
+    def test_level_digits_are_the_exponent(self):
+        for m in range(1, 30):
+            assert lex_ordinal(self.levels(m)) == general_type(m)[0][0]
+
+    def test_decodes_every_block(self):
+        # the digits equal to C(m,k) for every level k above j, then
+        # C(m,j)-1-rank, then j-1 positions: the j-subset of that rank in
+        # lexicographic order, and the positions
+        rng = random.Random(31)
+        for m in range(1, 8):
+            for j in range(m, 0, -1):
+                passes, size = self.levels(m)[:m - j], comb(m, j)
+                subsets = list(combinations(range(m), j))
+                for rank in range(size):
+                    assert _subset(m, j, rank) == subsets[rank]
+                    for _ in range(3):
+                        pos = [rng.choice([0, 1, 2, 7, 10 ** 20]) for _ in range(j - 1)]
+                        e = lex_ordinal(passes + [size - 1 - rank] + pos)
+                        assert type_block(e, m) == (subsets[rank], pos)
+
+    def test_none_when_not_below_the_exponent(self):
+        for m in range(1, 8):
+            levels = self.levels(m)
+            exponent = lex_ordinal(levels)
+            assert type_block(exponent, m) is None
+            for i in range(m):
+                # a digit above C(m, m-i) after passing the levels above it
+                above = levels[:i] + [levels[i] + 1] + [0] * (m - 1 - i)
+                assert type_block(lex_ordinal(above), m) is None
+                # a term at w^m or above, whatever follows it
+                for top in (from_int(m), from_int(m + i + 1), OMEGA, o("w+1"), o("w^w*2")):
+                    assert type_block(omega_pow(top), m) is None
+                    assert type_block(add(omega_pow(top), lex_ordinal(above[:i] + [0] * (m - i))), m) is None
