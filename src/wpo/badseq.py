@@ -293,21 +293,48 @@ class BadnessReport:
 def verify_bad(run: DescentRun) -> BadnessReport:
     """Check every pair i<j for the forbidden inclusion D_i <= D_j.
 
-    Each pair is one big-int test on box-dominance masks: D_i <= D_j
-    iff mask_i & ~mask_j == 0 (``inclusion_masks``, which proves it).
+    A pair is decided by the rank r of ``linearize.box_term`` where it
+    can be.  r is monotone, as proved there, so r(D_i) > r(D_j) rules
+    D_i <= D_j out; and where r falls strictly along the consecutive
+    records i..e, a segment, every pair inside it is decided.  One
+    comparison a step decides that (``linearize.rank_falls``): the
+    terms of the boxes the step pops against those of the boxes it
+    pushes.  Every other pair is one big-int test on box-dominance
+    masks: D_i <= D_j iff mask_i & ~mask_j == 0 (``inclusion_masks``,
+    which proves it), the reference and the fallback.
 
-    Pairs are scanned row by row and the scan stops at the first
+    Pairs are taken row by row and the scan stops at the first
     inclusion, so ``pairs_checked`` counts the pairs up to and
-    including it.  Indices in the report are 1-based record indices.
+    including it.  Row i scans only the records past the end of its
+    segment: the pairs it skips are proved bad, so the first inclusion
+    and its count are those of the full scan.  A segment's end is
+    worked out when a row first needs it, and the masks when a row
+    first scans, so a file whose ranks fall all along builds no mask,
+    and one with an inclusion takes no step past the segment of the row
+    it is found in.  Indices in the report are 1-based record indices.
     """
-    masks = inclusion_masks(r.lower_set for r in run.records)
-    missing = [~m for m in masks]
-    n = len(masks)
+    # imported here, so that `wpo badseq` does not load linearize
+    from .linearize import box_term, rank_falls
+
+    sets = [r.lower_set for r in run.records]
+    term = cache(box_term)  # one call's boxes; none kept across calls
+    n = len(sets)
+    end = -1  # r falls strictly along the records from row i to end
+    masks = missing = None
     pairs = 0
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, n):
-            if not mi & missing[j]:
-                return BadnessReport(n, pairs + j - i, (i + 1, j + 1))
+    for i in range(n):
+        if end < i:
+            end, here = i, set(sets[i].rects)
+            while end + 1 < n and rank_falls(here, there := set(sets[end + 1].rects), term):
+                end, here = end + 1, there
+        if end + 1 < n:
+            if masks is None:
+                masks = inclusion_masks(sets)
+                missing = [~m for m in masks]
+            mi = masks[i]
+            for j in range(end + 1, n):
+                if not mi & missing[j]:
+                    return BadnessReport(n, pairs + j - i, (i + 1, j + 1))
         pairs += n - 1 - i
     return BadnessReport(n, pairs, None)
 

@@ -9,6 +9,7 @@ when called: only ``badseq`` and ``verify`` load ``dataclasses``.
 """
 
 import argparse
+import os
 import re
 import sys
 
@@ -83,8 +84,18 @@ def cmd_badseq(args) -> int:
     lines = bs.descent_lines(args.m, args.base, args.count)
     if args.out:
         bs.write_lines(lines, args.out)
-    else:
+        return 0
+    try:
         sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as `wpo badseq ... | head` leaves it: the
+        # lines it did not take are not wanted.  Python flushes stdout
+        # again at exit, so the real stream is pointed at the null device.
+        if sys.stdout is sys.__stdout__:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
     return 0
 
 

@@ -13,6 +13,11 @@ check_monotone witnesses by exhausting every pair inside a finite
 grid, ranking through a memo of ``contribution`` made fresh for each
 call.  The memo is keyed by the box g+1 that a set holds for
 its generator g, so each grid box's term is worked out once a call.
+
+``box_term`` extends the rank to every lower set, w extents too: each
+box gets a term in the block of its bounded coordinates, and the rank
+is again the natural sum of the terms of the maximal boxes plus one.
+``badseq.verify_bad`` reads it on consecutive records.
 """
 
 from collections import namedtuple
@@ -33,6 +38,81 @@ def contribution(r) -> tuple:
     type's exponent (see the module docstring)."""
     g = tuple([e - 1 for e in r])
     return g, _trusted(((lex_ordinal(g[:-1]), g[-1]),))
+
+
+def box_term(r) -> tuple:
+    """The term t(B) = (key, c) of a box B = r of any lower set: w^x * c
+    for an exponent x below or equal to the exponent E of
+    general_type(m), named by ``key``, which orders as x does.
+
+    For bounded coordinates S = (s_1 < ... < s_j), j >= 1, and finite
+    extents v_1, ..., v_j there, x is the offset of S's block plus
+    lex(v_1-1, ..., v_(j-1)-1) in ``ordinal.lex_ordinal``'s layout (the
+    one ``ordinal.type_block`` decodes), and c is v_j - 1 when j = m and
+    v_j when j < m; a term with c = 0 counts as 0.  The blocks of lower
+    levels j lie higher, and within a level so does the block of a
+    lexicographically smaller S, so the key is (-j, -s_1, ..., -s_j,
+    v_1, ..., v_(j-1)).  At j = m it orders as ``contribution``'s
+    exponent does.  The box that is w in every coordinate gets the top
+    term, w^E * 1, keyed (0,).
+
+    The rank r(D) of a lower set D is 0 for D empty, else the natural
+    sum of the terms of its maximal boxes plus one.  It is monotone:
+    D <= D' implies r(D) <= r(D').  That is clear for D empty; else map
+    each box B of D to a box f(B) of D' that holds it (the one-box lemma
+    of ``lowerset.inclusion_masks``).  The natural sum is monotone in
+    each argument, so it is enough that for each box B' of D' the terms
+    of the boxes mapped to it sum to at most t(B').  Those boxes are an
+    antichain inside B', finite wherever B' is: S(B) contains S(B').
+    - B' all w: every other term has an exponent below E, so a sum of
+      them is below w^E; and B' itself is alone, as it holds the rest.
+    - |S(B)| > |S(B')|: the block of B lies wholly below that of B',
+      so t(B) has the smaller exponent.
+    - S(B) = S(B'): v <= v' coordinatewise.  If the first j-1 extents
+      differ, B's position is lexicographically smaller, and so is its
+      exponent.  If they agree, v_j < v'_j unless B = B'.
+    At most one box of the antichain agrees with B' on S and the first
+    j-1 extents; if that box is B' itself, it is alone.  So the sum is
+    t(B') exactly, or w^x' * c'' plus terms of smaller exponent with
+    c'' < c', which is below t(B') whenever c' >= 1 (at j' < m, c' =
+    v'_j >= 1).  When c' = 0 (j' = m, v'_m = 1), every box inside B'
+    has j = m and v_m = 1, so every term is 0.
+    """
+    key, v = [], []  # -s_1, ..., -s_j and v_1, ..., v_j
+    for t, e in enumerate(r):
+        if e != UNBOUNDED:
+            key.append(-t)
+            v.append(e)
+    if not v:
+        return (0,), 1
+    last = v.pop()
+    return (-len(key), *key, *v), last - (len(key) == len(r))
+
+
+def rank_falls(here: set, there: set, term=box_term) -> bool:
+    """Whether r(D) > r(D') for the lower sets D and D' whose maximal
+    boxes are ``here`` and ``there``, each box's term taken from
+    ``term``, which may be a memo.
+
+    r of the empty set is 0, below every other rank.  Otherwise both
+    ranks are the natural sum of their terms plus one, and the natural
+    sum is cancellative: the boxes the two share drop out.  The terms
+    of the boxes only D holds, less those of the boxes only D' holds,
+    are summed per key; keys order as exponents do, so the largest key
+    whose sum is not 0 decides, by that sum's sign."""
+    if not (here and there):
+        return bool(here)
+    diff = {}
+    for b in here - there:
+        key, c = term(b)
+        diff[key] = diff.get(key, 0) + c
+    for b in there - here:
+        key, c = term(b)
+        diff[key] = diff.get(key, 0) - c
+    for key in sorted(diff, reverse=True):
+        if c := diff[key]:
+            return c > 0
+    return False
 
 
 def ordinal_rank(f: GeneralLowerSet, contribution=contribution) -> RankAssignment:

@@ -544,6 +544,56 @@ class TestVerifyBad:
             assert rep == includes_scan(tampered)
             assert rep.first_violation is not None
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_includes_scan_on_tampered_files(self, dim, tmp_path):
+        # every case of tampered_files that read_run takes
+        path = tmp_path / "run.rec"
+        verdicts = set()
+        for base in (2, 3):
+            lines = run_lines(generate(dim, base, 20))
+            for what, tampered_lines in tampered_files(random.Random(dim), dim, lines):
+                path.write_text("\n".join(tampered_lines) + "\n")
+                try:
+                    run = read_run(str(path))
+                except ValueError:
+                    continue
+                rep = verify_bad(run)
+                assert rep == includes_scan([r.lower_set for r in run.records]), what
+                verdicts.add(rep.ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("dim,count", [(1, 100), (2, 150), (3, 60), (4, 30), (5, 20)])
+    def test_clean_runs_build_no_masks(self, dim, count, monkeypatch):
+        # the rank falls at every step of a clean run, the step to the
+        # empty set that ends a dim-1 run too, so no pair is scanned
+        calls = []
+        real = badseq.inclusion_masks
+        monkeypatch.setattr(badseq, "inclusion_masks", lambda sets: calls.append(1) or real(sets))
+        ends = 0
+        for base in (1, 2, 3):
+            run = generate(dim, base, count)
+            n = len(run.records)
+            assert verify_bad(run) == BadnessReport(n, n * (n - 1) // 2, None)
+            ends += not run.records[-1].lower_set.rects
+        assert calls == []
+        assert ends == (3 if dim == 1 else 0)
+
+    def test_one_term_per_box_each_call(self, monkeypatch):
+        # the terms are worked out once a box, and kept for one call only
+        from wpo import linearize
+        calls = []
+        real = linearize.box_term
+        monkeypatch.setattr(linearize, "box_term", lambda r: calls.append(r) or real(r))
+        run = generate(2, 3, 80)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert verify_bad(run).ok
+            counts.append(len(calls))
+        boxes = {r for rec in run.records for r in rec.lower_set.rects}
+        assert len(calls) == len(set(calls)) and 0 < counts[0] <= len(boxes)
+        assert counts[1] == counts[0]
+
     def test_masks_decide_every_pair(self):
         rng = random.Random(17)
         for dim in (0, 1, 2, 3, 4, 5):

@@ -388,6 +388,45 @@ class TestBadseqVerify:
         assert code == 0
         assert peak < 2 * path.stat().st_size
 
+    @pytest.mark.parametrize("count,taken", [("400", 1), ("3", 0)])
+    def test_closed_pipe_ends_badseq_quietly(self, count, taken):
+        # `wpo badseq ... | head -n 1` in a fresh interpreter, stdout
+        # block-buffered as in a shell: the reader takes the first line
+        # of a file of megabytes and goes, or goes before a short run
+        # writes, whose lines then wait in the buffer until the exit
+        # flush.  Either way the run exits 0 with nothing on stderr.
+        src = str(Path(badseq.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys, wpo.cli; sys.exit(wpo.cli.main(sys.argv[1:]))",
+             "badseq", "-m", "3", "-K", "3", "-n", count],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
+        with proc:
+            for _ in range(taken):
+                assert proc.stdout.readline() == b"# descent run\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0, err
+        assert err == b""
+
+    def test_closed_pipe_in_process(self, capsys, monkeypatch):
+        # a caller's own stdout that refuses the lines is left as it is
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stream = Closed()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["badseq", "-m", "2", "-n", "30"]) == 0
+        assert sys.stdout is stream and not stream.closed
+        assert capsys.readouterr().err == ""
+
+    def test_other_os_errors_still_fail(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "run.rec"
+        code, out, err = run_cli(capsys, "badseq", "-m", "2", "-n", "5", "-o", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+
     def test_generate_then_verify(self, capsys, tmp_path):
         path = str(tmp_path / "run.rec")
         code, _, _ = run_cli(capsys, "badseq", "-m", "2", "-n", "5", "-o", path)
@@ -1117,7 +1156,8 @@ def test_import_starts_no_process_machinery():
 
 # Each command line and oracle suite with the modules its run adds to
 # wpo, wpo.cli and wpo.vectors.  Only badseq needs dataclasses; ideal
-# loads ordinal for the bound its --dim check reads.  A fresh
+# loads ordinal for the bound its --dim check reads, and verify loads
+# linearize for the rank that decides its pairs.  A fresh
 # interpreter also shows an import cycle that a handler meets when it is
 # the first to import a module; this suite imports every one up front.
 BADSEQ = {"badseq", "lowerset", "monomial", "ordinal", "dataclasses"}
@@ -1128,7 +1168,7 @@ FRESH_RUNS = [
     (["hardy", "w^(w+2)", "3", "--budget", "600"], {"ordinal"}),
     (["descend", "w^2", "--base", "2"], {"ordinal"}),
     (["badseq", "-m", "2", "-n", "5"], BADSEQ),
-    (["verify", "RUN"], BADSEQ),
+    (["verify", "RUN"], BADSEQ | {"linearize"}),
     (["oracle", "monotone", "--box", "2x2"], {"linearize", "lowerset", "ordinal"}),
     (["oracle", "phi", "--samples", "5"], ORACLES),
     (["oracle", "inclusion", "--pairs", "5"], ORACLES),

@@ -1,18 +1,21 @@
 import math
 import random
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpo import linearize
-from wpo.linearize import (MonotoneReport, RankAssignment, check_monotone, contribution, lex_ordinal,
-                           ordinal_rank)
+from wpo.linearize import (MonotoneReport, RankAssignment, box_term, check_monotone, contribution,
+                           lex_ordinal, ordinal_rank, rank_falls)
 from wpo.lowerset import (UNBOUNDED, GeneralLowerSet, UnboundedError, closure, enumerate_fls,
-                          generators, inclusion_masks)
-from wpo.ordinal import (ONE, ZERO, Ordinal, add, compare, from_int, natural_sum, parse_ordinal,
-                         type_block)
+                          enumerate_gls, full_space, generators, inclusion_masks)
+from wpo.oracles import rand_gls
+from wpo.ordinal import (ONE, ZERO, Ordinal, add, compare, from_int, general_type, natural_sum,
+                         omega_pow, parse_ordinal, type_block)
+
+W = UNBOUNDED
 
 
 def o(text):
@@ -189,3 +192,132 @@ class TestMonotone:
             if not masks[i] & ~masks[j] and compare(ranks[i], ranks[j]) > 0
         )
         assert rep == MonotoneReport(box, n, n * n, violations)
+
+
+def box_exponent(r):
+    """The exponent of ``box_term(r)``'s term, built digit by digit in
+    the layout of ``ordinal.lex_ordinal``: the level digits C(m,m), ...
+    of the levels above j = |S| as they stand, C(m,j)-1-(lex rank of S)
+    at level j, then v_1-1, ..., v_(j-1)-1.  The all-w box has E itself."""
+    m = len(r)
+    s = tuple(t for t, e in enumerate(r) if e != W)
+    levels = [math.comb(m, i) for i in range(m, len(s), -1)]
+    if not s:
+        return lex_ordinal(levels)
+    rank = list(combinations(range(m), len(s))).index(s)
+    v = [r[t] - 1 for t in s[:-1]]
+    e = lex_ordinal(levels + [math.comb(m, len(s)) - 1 - rank] + v)
+    # the one decoder reads the box's block and position back
+    assert type_block(e, m) == (s, v)
+    return e
+
+
+def mutant_term(r):
+    """``box_term`` with c = v_j - 1 at every level, as at j = m."""
+    key, c = box_term(r)
+    return key, c - (0 < sum(e != W for e in r) < len(r))
+
+
+def rank_violations(sets, term):
+    """The included pairs D <= E of ``sets``, each ordered pair once, and
+    how many of them ``rank_falls`` says r(D) > r(E) of, with ``term``."""
+    term = cache(term)
+    masks = inclusion_masks(sets)
+    boxes = [set(f.rects) for f in sets]
+    pairs = falls = 0
+    for a, ma in zip(boxes, masks):
+        for b, mb in zip(boxes, masks):
+            if not ma & ~mb:
+                pairs += 1
+                falls += rank_falls(a, b, term)
+    return pairs, falls
+
+
+# menus of enumerate_gls: (dim, extents, most boxes a union)
+MENUS = [(1, (1, 2, 3, 4, 5, W), 3), (2, (1, 2, 3, 4, W), 3), (3, (1, 2, W), 3)]
+
+
+def random_box_sets(dim):
+    rng = random.Random(4400 + dim)
+    return ([rand_gls(rng, dim, max_extent=4) for _ in range(250)]
+            + [GeneralLowerSet.make(dim, []), full_space(dim)])
+
+
+class TestBoxTerm:
+    def test_pinned(self):
+        assert box_term((3,)) == ((-1, 0), 2)
+        assert box_term((W,)) == ((0,), 1)
+        assert box_term((2, W)) == ((-1, 0), 2)
+        assert box_term((W, 5)) == ((-1, -1), 5)
+        assert box_term((4, 5)) == ((-2, 0, -1, 4), 4)
+        assert box_term((2, W, 3)) == ((-2, 0, -2, 2), 3)
+        assert box_term(()) == ((0,), 1)
+
+    def test_rank_falls_pinned(self):
+        # [w] is all of N: w^w, above [2]'s w^0*1
+        assert rank_falls({(W,)}, {(2,)}) and not rank_falls({(2,)}, {(W,)})
+        # w^(w+1)*2 against w^w*5 + w^3*6: the higher block decides
+        assert rank_falls({(2, W)}, {(W, 5), (4, 7)})
+        # one key on both sides: the coefficients decide, then the rest
+        assert rank_falls({(W, 4)}, {(W, 3)}) and not rank_falls({(W, 3)}, {(W, 4)})
+        assert not rank_falls({(W, 3), (5, 4)}, {(W, 4)})
+        # a term with c = 0 counts as 0: [2,1] and [1,1] both rank 1
+        assert not rank_falls({(2, 1)}, {(1, 1)}) and not rank_falls({(1, 1)}, {(2, 1)})
+        # the empty set ranks 0, below every other set
+        assert rank_falls({(1, 1)}, set()) and not rank_falls(set(), {(1, 1)})
+        assert not rank_falls(set(), set())
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_key_orders_as_the_exponent(self, m):
+        # every box shape of extents <= 4: the exponent is built in
+        # lex_ordinal's layout and read back by type_block; sorted by
+        # key, the exponents rise, strictly exactly where the keys do
+        boxes = list(product([1, 2, 3, 4, W], repeat=m))
+        boxes.sort(key=lambda r: box_term(r)[0])
+        exps = [box_exponent(r) for r in boxes]
+        for a, b, x, y in zip(boxes, boxes[1:], exps, exps[1:]):
+            assert compare(x, y) == (-1 if box_term(a)[0] < box_term(b)[0] else 0), (a, b)
+        # the all-w box has the exponent of general_type itself
+        assert add(omega_pow(exps[-1]), ONE) == general_type(m)
+
+    @pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 3)])
+    def test_agrees_with_ordinal_rank_on_bounded_sets(self, box):
+        # the rank through box_term orders the bounded sets of the box
+        # as ordinal_rank does, ties included; and rank_falls, on each
+        # set against the next in a shuffled order, says what the
+        # ranks' comparison says
+        sets = list(enumerate_fls(box))
+        ranks = {f: ordinal_rank(f).value for f in sets}
+
+        def rank(f):
+            # the natural sum of the terms, keys falling, zero ones dropped
+            total = {}
+            for r in f.rects:
+                key, c = box_term(r)
+                total[key] = total.get(key, 0) + c
+            return bool(f.rects), sorted([t for t in total.items() if t[1]], reverse=True)
+
+        ordered = sorted(sets, key=rank)
+        for f, g in zip(ordered, ordered[1:]):
+            assert compare(ranks[f], ranks[g]) == (-1 if rank(f) < rank(g) else 0), (f, g)
+        random.Random(len(sets)).shuffle(sets)
+        for f, g in zip(sets, sets[1:] + sets[:1]):
+            assert rank_falls(set(f.rects), set(g.rects)) == (compare(ranks[f], ranks[g]) > 0)
+
+    @pytest.mark.parametrize("dim,extents,most", MENUS)
+    def test_monotone_on_menus(self, dim, extents, most):
+        pairs, falls = rank_violations(list(enumerate_gls(dim, extents, most)), box_term)
+        assert pairs > 20 and falls == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_monotone_on_random_box_sets(self, dim):
+        pairs, falls = rank_violations(random_box_sets(dim), box_term)
+        assert pairs > 15000 and falls == 0
+
+    def test_mutant_term_fails(self):
+        # c = v_j - 1 below level m breaks monotonicity: a bounded box
+        # with c = 0 is no longer above the boxes of higher levels in it
+        for dim, extents, most in MENUS[1:]:
+            assert rank_violations(list(enumerate_gls(dim, extents, most)), mutant_term)[1] > 0
+        for dim in (2, 3, 4, 5):
+            assert rank_violations(random_box_sets(dim), mutant_term)[1] > 0
