@@ -5,7 +5,10 @@ found, 2 usage or parse error.
 
 Start-up and imports are most of a short command's wall time, so this
 module imports only what the parser needs and each handler what it runs,
-when called: only ``badseq`` and ``verify`` load ``dataclasses``.
+when called: only ``badseq`` and ``verify`` load ``dataclasses``.  A line
+that starts with a command builds one parser, that command's own, named
+``wpo NAME``; the full parser is built for ``wpo -h``, for a line that
+names no command, and for a word that its command does not take.
 """
 
 import argparse
@@ -229,36 +232,33 @@ COMMANDS = {
 }
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command named ``only`` alone.
+def _add_command(parser, name) -> argparse.ArgumentParser:
+    _, func, arguments = COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=func)
+    return parser
 
-    A parser of one command parses that command's lines as the full one
-    does; only ``wpo -h`` and the top-level errors read differently.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, which reads ``wpo -h`` and prints the top-level errors."""
     parser = argparse.ArgumentParser(
-        prog="wpo",
-        description="Order types, ordinal descent, and lower sets of N^m.",
-    )
+        prog="wpo", description="Order types, ordinal descent, and lower sets of N^m.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, arguments) in COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=summary)
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
-            p.set_defaults(func=func)
+    for name, (summary, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # A line that starts with a command is parsed by that command's
-        # parser alone.  The one top-level error left to it, unrecognized
-        # arguments, prints the full usage, so the full parser reports it.
-        # Anything else (no command, -h, an unknown word) goes to the full
-        # parser at once.
+        # A line that starts with a command is parsed by its parser alone.
+        # A word it does not take gets the usage of all eight commands, so
+        # the full parser reports it, as it reads -h and every other line.
         if argv and argv[0] in COMMANDS:
-            args, extras = build_parser(argv[0]).parse_known_args(argv)
+            parser = _add_command(argparse.ArgumentParser(prog=f"wpo {argv[0]}"), argv[0])
+            args, extras = parser.parse_known_args(argv[1:])
             if extras:
                 args = build_parser().parse_args(argv)
         else:

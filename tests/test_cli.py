@@ -1057,6 +1057,12 @@ PARSER_TOKENS = [*COMMANDS, "-h", "--help", "--", "--bud", "--budget=3", "--he",
                  "extra", "frobnicate", "w", "2", "5", "-m", "1", "-n", "-K", "--dim", "--dim=2",
                  "{}", "--gens", "(1,0)", "--box", "1x2", "monotone", "--seed", "--li", "--b"]
 SOUP = st.lists(st.sampled_from(PARSER_TOKENS), max_size=6)
+FIXED_LINES = [
+    [], ["-h"], ["frobnicate"], ["hardy", "w", "2"], ["hardy", "-h"],
+    ["hardy", "w", "2", "extra"], ["hardy", "w"], ["hardy", "w", "x"],
+    ["--", "hardy", "w", "2"], ["hardy", "--", "w", "2"], ["hardy", "w", "2", "--bud", "5"],
+    ["oracle", "-h"], ["badseq", "-h"], ["ideal", "--nope"],
+]
 TAIL = st.sampled_from([[], ["extra"], ["-h"], ["--help"], ["--", "extra"], ["--bud", "5"],
                         ["--budget=3"], ["frobnicate", "extra"]])
 
@@ -1078,14 +1084,17 @@ class TestParsesAsTheFullParser:
     def test_token_soup(self, argv):
         assert outcome(main, argv) == outcome(reference_main, argv), argv
 
-    @pytest.mark.parametrize("argv", [
-        [], ["-h"], ["frobnicate"], ["hardy", "w", "2"], ["hardy", "-h"],
-        ["hardy", "w", "2", "extra"], ["hardy", "w"], ["hardy", "w", "x"],
-        ["--", "hardy", "w", "2"], ["hardy", "--", "w", "2"], ["hardy", "w", "2", "--bud", "5"],
-    ])
+    @pytest.mark.parametrize("argv", FIXED_LINES)
     def test_reads_sys_argv(self, monkeypatch, argv):
         monkeypatch.setattr(sys, "argv", ["wpo", *argv])
         assert outcome(main, None) == outcome(reference_main, argv)
+
+    @pytest.mark.parametrize("argv", FIXED_LINES)
+    def test_reads_sys_argv_at_40_columns(self, monkeypatch, argv):
+        # a usage line wraps under `usage: wpo NAME `, so the command's
+        # prog shows in every continuation line
+        monkeypatch.setenv("COLUMNS", "40")
+        self.test_reads_sys_argv(monkeypatch, argv)
 
 
 class TestParserPlumbing:
@@ -1096,11 +1105,12 @@ class TestParserPlumbing:
         assert run_cli(capsys, "frobnicate")[0] == 2
 
     @pytest.mark.parametrize("argv,built", [
-        (["hardy", "w", "2"], 2),
+        (["hardy", "w", "2"], 1),
         (["-h"], 9),
         (["frobnicate"], 9),
         # the command's parser finds an extra word; the full one reports it
-        (["hardy", "w", "2", "extra"], 2 + 9),
+        (["hardy", "w", "2", "extra"], 1 + 9),
+        (["hardy", "-h"], 1),
     ])
     def test_parsers_built(self, capsys, monkeypatch, argv, built):
         made = []
