@@ -24,7 +24,7 @@ their ordinals: extent <= norm at every record.
 import os
 from bisect import bisect_left, insort
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import count, islice
 
@@ -146,48 +146,6 @@ def lower_set_of(alpha: Ordinal, dim: int) -> GeneralLowerSet:
     return GeneralLowerSet(dim, tuple(sorted(shape_from_ordinal(alpha, dim)[0])))
 
 
-class _IdealFold:
-    """Derives the lower set and complement ideal of each ordinal of a
-    run from those of the ordinal before, which shares all but a short
-    tail of its terms.  After the first k terms of the last ordinal the
-    fold keeps ``after[k]``: the staircase state and the minimal points
-    outside the first k boxes (the origin alone for k = 0).  A term that
-    raises leaves the fold holding the terms before it.
-
-    Both values are taken as built (``_staircase``, ``complement_points``):
-    the tests hold the checks.  ``check_derivations`` passes every value
-    through the checked constructors, and the reading tests compare
-    ``audit_file``, which takes a record line equal to the regenerated
-    record's line as that record, with ``read_run``'s full parse.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.terms: list = []
-        self.rects: list = []
-        self.after: list = [(_stair_start(dim), [(0,) * dim])]
-        self.boxes: list = []  # sorted self.rects
-
-    def derive(self, alpha: Ordinal, kept: int):
-        """The lower set, norm, extent and complement ideal of alpha's
-        staircase, where alpha starts with the first ``kept`` terms the
-        fold holds."""
-        dim = self.dim
-        for r in self.rects[kept:]:
-            del self.boxes[bisect_left(self.boxes, r)]
-        del self.terms[kept:], self.rects[kept:], self.after[kept + 1:]
-        tail = alpha[kept:]
-        for term, (box, state) in zip(tail, _staircase(alpha, dim, self.after[-1][0], tail)):
-            self.after.append((state, complement_points([box], dim, self.after[-1][1])))
-            insort(self.boxes, box)
-            self.terms.append(term)
-            self.rects.append(box)
-        state, outside = self.after[-1]
-        lset = _trusted(GeneralLowerSet, dim, tuple(self.boxes))
-        ideal = _trusted(MonomialIdeal, dim, tuple(outside))
-        return lset, _norm(state), max(state[0], default=0), ideal
-
-
 @dataclass(frozen=True)
 class BadSequenceRecord:
     index: int
@@ -208,20 +166,55 @@ class DescentRun:
     records: tuple = ()
 
 
-def _derive(base: int, index: int, alpha: Ordinal, derived: tuple) -> BadSequenceRecord:
-    """The record a run stores for ``alpha`` at ``index``, from the
-    fold's derivation of alpha."""
-    lset, norm, extent, ideal = derived
-    return BadSequenceRecord(
-        index=index,
-        alpha=alpha,
-        lower_set=lset,
-        norm=norm,
-        extent=extent,
-        ideal=ideal,
-        degree=ideal.degree(),
-        bound=(base + index) ** 2,
-    )
+class _IdealFold:
+    """Derives the record of each ordinal of a run with ``base`` from
+    the derivation of the ordinal before, which shares all but a short
+    tail of its terms.  The fold keeps one frame per term: frame k is
+    what the first k terms of the last ordinal leave, a tuple of the
+    k-th term, its box, the staircase state, and the minimal points
+    outside the first k boxes.  Frame 0 is the start state and the
+    origin, with no term and no box.  ``boxes`` holds the boxes of the
+    frames sorted, the canonical lower set.  A term that raises leaves
+    the fold holding the frames before it.
+
+    The lower set and the ideal are taken as built (``_staircase``,
+    ``complement_points``): the tests hold the checks.  ``check_frames``
+    compares every frame with a derivation from scratch,
+    ``check_derivations`` passes every value through the checked
+    constructors, and the reading tests compare ``audit_file``, which
+    takes a record line equal to the regenerated record's line as that
+    record, with ``read_run``'s full parse.
+    """
+
+    def __init__(self, dim: int, base: int):
+        self.dim, self.base = dim, base
+        self.frames: list = [(None, None, _stair_start(dim), [(0,) * dim])]
+        self.boxes: list = []
+
+    def record(self, index: int, alpha: Ordinal, kept: int) -> BadSequenceRecord:
+        """The record of ``alpha`` at ``index``, where alpha starts with
+        the first ``kept`` terms the fold holds: a step pops the frames
+        past those and pushes one for each term of alpha's tail."""
+        dim, frames, boxes = self.dim, self.frames, self.boxes
+        for _, box, _, _ in frames[kept + 1:]:
+            del boxes[bisect_left(boxes, box)]
+        del frames[kept + 1:]
+        tail = alpha[kept:]
+        for term, (box, state) in zip(tail, _staircase(alpha, dim, frames[-1][2], tail)):
+            frames.append((term, box, state, complement_points([box], dim, frames[-1][3])))
+            insort(boxes, box)
+        _, _, state, outside = frames[-1]
+        ideal = _trusted(MonomialIdeal, dim, tuple(outside))
+        return BadSequenceRecord(
+            index=index,
+            alpha=alpha,
+            lower_set=_trusted(GeneralLowerSet, dim, tuple(boxes)),
+            norm=_norm(state),
+            extent=max(state[0], default=0),
+            ideal=ideal,
+            degree=ideal.degree(),
+            bound=(self.base + index) ** 2,
+        )
 
 
 def _descent(dim: int, base: int):
@@ -230,11 +223,10 @@ def _descent(dim: int, base: int):
     its ordinal keeps of the one before, as ``_rewrite`` says.  Step i
     uses argument base+i-1."""
     terms = list(descent_start(dim))
-    fold = _IdealFold(dim)
+    fold = _IdealFold(dim, base)
     for i in count(1):
         kept = _rewrite(terms, base + i - 1)
-        alpha = _normal_form(terms)
-        yield _derive(base, i, alpha, fold.derive(alpha, kept)), kept
+        yield fold.record(i, _normal_form(terms), kept), kept
         if not terms:
             return
 
@@ -369,7 +361,7 @@ def _audit(run: DescentRun, regenerated: list) -> list:
     start = descent_start(run.dim)
     if alpha != start:
         problems.append(f"run starts at {alpha}, expected {start}")
-    fold = _IdealFold(run.dim)
+    fold = _IdealFold(run.dim, run.base)
     for k, rec in enumerate(run.records):
         if rec.index != k + 1:
             problems.append(f"record {k + 1}: index says {rec.index}")
@@ -388,9 +380,11 @@ def _audit(run: DescentRun, regenerated: list) -> list:
         # keep auditing the stored trajectory; when the two are equal,
         # the next step then shares its terms with the next record's
         alpha = rec.alpha
-        want = (regen if regen and regen.alpha == rec.alpha
-                else _derive(run.base, rec.index, rec.alpha,
-                             fold.derive(rec.alpha, common_prefix(fold.terms, rec.alpha))))
+        if regen and regen.alpha == rec.alpha:
+            want = regen
+        else:
+            held = [term for term, *_ in fold.frames[1:]]
+            want = fold.record(rec.index, rec.alpha, common_prefix(held, rec.alpha))
         for name in ("lower_set", "norm", "extent", "ideal", "degree", "bound"):
             got, exp = getattr(rec, name), getattr(want, name)
             if got != exp:
@@ -591,4 +585,4 @@ def _read(path: str, derive: bool) -> tuple:
         run, n, _ = _declared(block, derive)
     if n != len(records):
         raise ValueError(f"header says {n} records but the file holds {len(records)}")
-    return replace(run, records=tuple(records)), regenerated
+    return DescentRun(run.dim, run.base, run.start, tuple(records)), regenerated

@@ -64,7 +64,7 @@ def _check_boxes(rects, dim: int, least: int = 1) -> None:
         if len(r) != dim or not all(
             (isinstance(e, int) and e >= least) or e == UNBOUNDED for e in r
         ):
-            raise ValueError(f"bad box {r} for dimension {dim}")
+            raise ValueError(f"bad box {shown(format_box(r), str)} for dimension {dim}")
 
 
 class GeneralLowerSet(namedtuple("GeneralLowerSet", "dim rects")):
@@ -252,7 +252,7 @@ def complement_points(rects, dim: int, outside=None) -> list:
     accepts it, when ``_check_boxes`` also accepts every box, for then
     every coordinate is an old point's or a finite extent.  The
     staircase's extents are all such (``badseq._staircase``), so
-    ``badseq._IdealFold`` takes the result as built, and
+    ``badseq._IdealFold.record`` takes the result as built, and
     ``from_complement`` takes it so too.
     """
     points = [(0,) * dim] if outside is None else list(outside)

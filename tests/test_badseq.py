@@ -30,6 +30,7 @@ from wpo.badseq import (
 from wpo.lowerset import (
     UNBOUNDED,
     GeneralLowerSet,
+    complement_points,
     format_box,
     format_gls,
     full_space,
@@ -245,21 +246,35 @@ def ordinal_walk(rng, dim, length):
     return walk
 
 
+def check_frames(fold, alpha, dim):
+    """Every frame of ``fold``, just after it made alpha's record,
+    against alpha's derivation from scratch: frame k holds alpha's k-th
+    term and box, and the points outside the first k boxes."""
+    boxes = shape_from_ordinal(alpha, dim)[0]
+    assert len(fold.frames) == len(alpha) + 1
+    for k, (term, box, _, outside) in enumerate(fold.frames):
+        if k:
+            assert (term, box) == (alpha[k - 1], boxes[k - 1])
+        assert outside == complement_points(boxes[:k], dim)
+    assert fold.boxes == sorted(boxes)
+
+
 def check_derivations(dim, alphas):
     """Derive ``alphas`` through one fold and compare each record, and
     its line in ``run_lines``, with a derivation from scratch."""
-    fold = badseq._IdealFold(dim)
+    fold = badseq._IdealFold(dim, 2)
     records = []
     for alpha in alphas:
+        held = [term for term, *_ in fold.frames[1:]]
         try:
             rects, norm = shape_from_ordinal(alpha, dim)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                fold.derive(alpha, common_prefix(fold.terms, alpha))
+                fold.record(len(records) + 1, alpha, common_prefix(held, alpha))
             continue
         lset = GeneralLowerSet.make(dim, rects)
-        derived = fold.derive(alpha, common_prefix(fold.terms, alpha))
-        rec = badseq._derive(2, len(records) + 1, alpha, derived)
+        rec = fold.record(len(records) + 1, alpha, common_prefix(held, alpha))
+        check_frames(fold, alpha, dim)
         assert (rec.lower_set, rec.norm, rec.ideal) == (lset, norm, complement_ideal(lset))
         # the fold takes its lower set and ideal as built: the checked
         # constructors accept them
@@ -291,6 +306,15 @@ class TestDeriver:
             k = rng.randint(1, len(walk) - 1)
             bad = rng.choice([descent_start(dim), top, top + walk[k]])
             check_derivations(dim, walk[:k] + [bad] + walk[k:])
+
+    @pytest.mark.parametrize("dim,n", [(1, 10), (2, 300), (3, 60), (4, 40), (5, 40)])
+    def test_descent_frames_match_derivation_from_scratch(self, dim, n):
+        # a fold fed the descent's ordinals and kept counts holds, after
+        # each record, the frames a derivation from scratch gives
+        fold = badseq._IdealFold(dim, 2)
+        for rec, kept in islice(badseq._descent(dim, 2), n):
+            assert fold.record(rec.index, rec.alpha, kept) == rec
+            check_frames(fold, rec.alpha, dim)
 
 
 class TestCursor:

@@ -109,6 +109,9 @@ class TestOrdCommand:
     (["ideal", "[]"], "bad box '[]'"),
     (["ideal", "[1,,2]"], "bad box '[1,,2]'"),
     (["ideal", "[w5]"], "bad box '[w5]'"),
+    # a box of the wrong length is named in its own text
+    (["ideal", "[w]", "--dim", "2"], "bad box [w] for dimension 2"),
+    (["ideal", "[2]u[3,w]"], "bad box [3,w] for dimension 1"),
 ])
 def test_empty_coordinates_rejected(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -614,6 +617,7 @@ class TestBadseqVerify:
     @pytest.mark.parametrize("column,text,message", [
         (2, "[]", "bad box '[]'"),
         (2, "[2,]", "bad box '[2,]'"),
+        (2, "[w]", "bad box [w] for dimension 2"),
         (5, "(1,,2)", "bad exponent vector '(1,,2)'"),
     ])
     def test_empty_coordinate_in_record(self, capsys, tmp_path, column, text, message):
@@ -668,7 +672,7 @@ class TestBadseqVerify:
     def test_huge_dimension_fails_fast(self, capsys, tmp_path, monkeypatch, records):
         # a start of the wrong form is reported without building the
         # start, or a fold, of a 10**9-dimensional run
-        def refuse(dim):
+        def refuse(dim, *args):
             raise AssertionError(f"built descent_start({dim})")
 
         monkeypatch.setattr(badseq, "descent_start", refuse)
@@ -687,7 +691,7 @@ class TestBadseqVerify:
     def test_dimension_above_bound_verify_fails_fast(self, capsys, tmp_path, monkeypatch, dim):
         # a start of the right form above the bound builds no fold: the
         # audit refuses the dimension as audit_run does
-        def refuse(dim):
+        def refuse(dim, *args):
             raise AssertionError(f"built a fold of dim {dim}")
 
         monkeypatch.setattr(badseq, "_IdealFold", refuse)
